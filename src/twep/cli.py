@@ -9,9 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -22,23 +20,6 @@ from .engine import simulate as engine_simulate
 from .errorspace import DEFAULT_CAP, CapExceededError
 from .pauli import PauliSyntaxError, parse, render, weight
 from .stabilizer import SizeLimitError
-
-WORKERS_ENV = "TWEP_WORKERS"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run options shared by the heavier subcommands."""
-
-    workers: int
-    cap: int
-
-    @classmethod
-    def resolve(cls, workers: int | None, cap: int | None) -> CliConfig:
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        return cls(workers=max(1, workers), cap=cap if cap is not None else DEFAULT_CAP)
-
 
 def _fail(message: str, code: int):
     click.echo(message, err=True)
@@ -97,14 +78,12 @@ def main():
 @main.command()
 @click.argument("protocol")
 @click.option("--m", "m", type=int, default=None, help="family size for 'hamming'")
-@click.option("--workers", type=int, default=None, help="parallel simulations")
-@click.option("--cap", type=int, default=None, help="error-enumeration cap")
-def verify(protocol: str, m: int | None, workers: int | None, cap: int | None):
+@click.option("--cap", type=int, default=DEFAULT_CAP, help="error-enumeration cap")
+def verify(protocol: str, m: int | None, cap: int):
     """Exhaustively verify a registered protocol."""
     named = _get_protocol(protocol, m)
-    config = CliConfig.resolve(workers, cap)
     try:
-        report = engine_verify(named.strategy, workers=config.workers, cap=config.cap)
+        report = engine_verify(named.strategy, cap=cap)
     except CapExceededError as exc:
         _fail(str(exc), 2)
     click.echo(report.to_text(), nl=False)
@@ -157,13 +136,11 @@ def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
 @main.command()
 @click.option("--n", "n", type=int, required=True)
 @click.option("--t", "t", type=int, required=True)
-@click.option("--workers", type=int, default=None)
-@click.option("--cap", type=int, default=None)
-def greedy(n: int, t: int, workers: int | None, cap: int | None):
+@click.option("--cap", type=int, default=DEFAULT_CAP)
+def greedy(n: int, t: int, cap: int):
     """Synthesize the greedy strategy for (n, t) and verify it exhaustively."""
-    config = CliConfig.resolve(workers, cap)
     try:
-        report, stats = synth.greedy_step_stats(n, t, cap=config.cap)
+        report, stats = synth.greedy_step_stats(n, t, cap=cap)
     except (SizeLimitError, CapExceededError) as exc:
         _fail(str(exc), 2)
     payload = report.to_dict()

@@ -18,7 +18,6 @@ enough certified pairs.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -268,20 +267,16 @@ def _check_one(strategy: Strategy, hidden: PauliVec):
     return transcript.k_out, None
 
 
-def verify(strategy: Strategy, workers: int = 1, cap: int = DEFAULT_CAP) -> Report:
+def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
     """Simulate against every error of weight <= t (identity included).
 
     A run fails on any simulation error, on certifying fewer pairs than
     claimed, or if the correction and the hidden error differ by anything
     outside the final stabilizer.  Counterexamples come out in the
-    deterministic enumeration order regardless of worker count.
+    deterministic enumeration order.
     """
     errors = errorspace.enumerate_errors(strategy.n, strategy.t, strategy.d, cap)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: _check_one(strategy, e), errors.members))
-    else:
-        results = [_check_one(strategy, e) for e in errors.members]
+    results = [_check_one(strategy, e) for e in errors.members]
     k_values = [k for k, _ in results if k is not None]
     counterexamples = tuple(c for _, c in results if c is not None)
     k_min = min(k_values) if k_values else -1

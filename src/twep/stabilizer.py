@@ -14,6 +14,7 @@ from itertools import product as _iter_product
 from typing import Iterable, Sequence
 
 from . import _kernels
+from ._kernels import _Rows, _insert, _reduce
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
@@ -31,37 +32,8 @@ class SizeLimitError(ValueError):
     """An exhaustive enumeration was requested beyond its configured bound."""
 
 
-# A row is the length-2n tuple x + z over Z_d.  Echelon state is a tuple of
-# (pivot column, normalized row) pairs sorted by pivot.
-_Rows = tuple[tuple[int, tuple[int, ...]], ...]
-
-
 def _vector(p: PauliVec) -> tuple[int, ...]:
     return p.x + p.z
-
-
-def _reduce(vec: tuple[int, ...], rows: _Rows, d: int) -> tuple[int, ...]:
-    """Eliminate vec at every pivot column; the residue is the canonical
-    coset representative of vec modulo the row space."""
-    v = list(vec)
-    for pivot, row in rows:
-        coef = v[pivot]
-        if coef:
-            for i in range(pivot, len(v)):
-                v[i] = (v[i] - coef * row[i]) % d
-    return tuple(v)
-
-
-def _insert(rows: _Rows, vec: tuple[int, ...], d: int) -> _Rows | None:
-    """Add vec to the echelon state; None if it is already in the span."""
-    residue = _reduce(vec, rows, d)
-    pivot = next((i for i, v in enumerate(residue) if v), None)
-    if pivot is None:
-        return None
-    inv = pow(residue[pivot], -1, d)
-    normalized = tuple(v * inv % d for v in residue)
-    merged = sorted(rows + ((pivot, normalized),))
-    return tuple(merged)
 
 
 def rank(gens: Sequence[PauliVec]) -> int:
@@ -307,32 +279,10 @@ def min_normalizer_weight(s: StabilizerSet) -> int:
     complement = normalizer_complement_basis(s)
     if not complement:
         raise ValueError("normalizer equals the stabilizer; nothing to scan")
-    if s.d == 2:
-        return _kernels.min_weight_excluding_span(
-            [g.x_bits for g in s.gens],
-            [g.z_bits for g in s.gens],
-            [c.x_bits for c in complement],
-            [c.z_bits for c in complement],
-        )
-    best = None
-    span_vecs = [_vector(g) for g in s.gens]
-    comp_vecs = [_vector(c) for c in complement]
-    width = 2 * s.n
-    for comp_coeffs in _iter_product(range(s.d), repeat=len(comp_vecs)):
-        if not any(comp_coeffs):
-            continue
-        base = [0] * width
-        for c, row in zip(comp_coeffs, comp_vecs):
-            if c:
-                for i in range(width):
-                    base[i] = (base[i] + c * row[i]) % s.d
-        for span_coeffs in _iter_product(range(s.d), repeat=len(span_vecs)):
-            v = list(base)
-            for c, row in zip(span_coeffs, span_vecs):
-                if c:
-                    for i in range(width):
-                        v[i] = (v[i] + c * row[i]) % s.d
-            w = sum(1 for i in range(s.n) if v[i] or v[i + s.n])
-            if best is None or w < best:
-                best = w
-    return best
+    return _kernels.min_weight_excluding_span(
+        [g.x for g in s.gens],
+        [g.z for g in s.gens],
+        [c.x for c in complement],
+        [c.z for c in complement],
+        s.d,
+    )

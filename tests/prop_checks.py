@@ -23,6 +23,17 @@ def _random_pauli(rng: random.Random, d: int, n: int) -> PauliVec:
     )
 
 
+def random_stabilizer(rng: random.Random, d: int, n: int, rank: int) -> StabilizerSet:
+    """A stabilizer of exactly the given rank, grown by rejection sampling of
+    random operators that commute with it and lie outside it."""
+    s = StabilizerSet(d, n)
+    while s.rank < rank:
+        cand = _random_pauli(rng, d, n)
+        if s.in_normalizer(cand) and not s.is_member(cand):
+            s = s.extend(cand)
+    return s
+
+
 def check_symplectic_algebra(cases: int = 10_000, seed: int = 20240305) -> str:
     """Antisymmetry and bilinearity of the commutation form, random cases."""
     rng = random.Random(seed)

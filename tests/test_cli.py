@@ -39,17 +39,6 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "six-pair" in result.stderr
 
-    def test_workers_flag_payload_identical(self, runner):
-        base = runner.invoke(main, ["verify", "qutrit-four"])
-        threaded = runner.invoke(main, ["verify", "qutrit-four", "--workers", "3"])
-        assert base.output == threaded.output
-
-    def test_workers_env_default(self, runner):
-        result = runner.invoke(
-            main, ["verify", "qutrit-four"], env={"TWEP_WORKERS": "2"}
-        )
-        assert result.exit_code == 0
-
     def test_parametric_family_via_m(self, runner):
         result = runner.invoke(main, ["verify", "hamming", "--m", "4"])
         assert result.exit_code == 0

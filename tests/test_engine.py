@@ -155,11 +155,6 @@ class TestVerify:
         assert report.passed
         assert report.counterexamples == ()
 
-    def test_workers_do_not_change_the_report(self):
-        sequential = verify(six_pair(), workers=1)
-        parallel = verify(six_pair(), workers=4)
-        assert sequential.to_text() == parallel.to_text()
-
     def test_overclaiming_strategy_fails(self):
         base = six_pair()
         greedy_claim = Strategy(

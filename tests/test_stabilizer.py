@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
+from prop_checks import random_stabilizer
 
 from twep.pauli import (
     PauliVec,
@@ -221,16 +223,15 @@ class TestCodeCorrects:
 class TestMinNormalizerWeight:
     @staticmethod
     def brute_force(s):
+        """Weight by weight: the lightest operator commuting with every
+        generator and outside the explicitly enumerated group."""
         spanned = span_set(s.gens, s.d, s.n)
-        best = None
-        for p in all_paulis(s.d, s.n):
+        for p in sorted(all_paulis(s.d, s.n), key=weight):
             if p in spanned:
                 continue
             if all(symplectic_product(p, g) == 0 for g in s.gens):
-                w = weight(p)
-                if best is None or w < best:
-                    best = w
-        return best
+                return weight(p)
+        return None
 
     def test_five_qubit_distance(self, five_qubit_code):
         assert min_normalizer_weight(five_qubit_code) == 3
@@ -247,6 +248,18 @@ class TestMinNormalizerWeight:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             min_normalizer_weight(StabilizerSet(2, 13))
+
+    @pytest.mark.parametrize("d, max_n", [(2, 6), (3, 4)])
+    def test_random_stabilizers_at_every_rank(self, d, max_n):
+        rng = random.Random(29 + d)
+        for n in range(1, max_n + 1):
+            for rank in range(n + 1):
+                s = random_stabilizer(rng, d, n, rank)
+                if rank == n:
+                    with pytest.raises(ValueError):
+                        min_normalizer_weight(s)
+                else:
+                    assert min_normalizer_weight(s) == self.brute_force(s)
 
 
 class TestSeparationCounting:

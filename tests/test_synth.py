@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
 from math import comb
 
 import pytest
+from prop_checks import random_stabilizer
 
-from twep import _kernels, _kernels_py
 from twep.bounds import mi_sequence
 from twep.engine import simulate
 from twep.errorspace import (
     ErrorSet,
     base_errors,
+    coset_classes,
     enumerate_errors,
     filter_by_outcome,
 )
-from twep.pauli import PauliVec, parse, render
+from twep.pauli import (
+    PauliVec,
+    canonical_key,
+    multiply,
+    parse,
+    render,
+    symplectic_product,
+)
 from twep.stabilizer import SizeLimitError, StabilizerSet
 from twep.synth import (
     NoSeparatorError,
@@ -98,19 +108,48 @@ class TestChooseGenerator:
         )
         assert split_counts(chosen, errors).separated_pairs == best
 
+        # Seeded sweep: the exact winner, smallest larger side first and then
+        # smallest canonical key, over survivor sets that share a syndrome as
+        # the greedy strategy's do, with coset-equivalent errors among them.
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for rank in range(n):
+                s = random_stabilizer(rng, 2, n, rank)
+                errors = _random_survivors(rng, s)
+                assert not coset_classes(errors, s).is_single_class
+                winner = min(
+                    _all_candidates(s),
+                    key=lambda m: (split_counts(m, errors).max_side, canonical_key(m)),
+                )
+                assert choose_generator(s, errors) == winner
+
+
+def _random_survivors(rng, s):
+    """Up to 16 errors sharing one random syndrome, plus the first times a
+    generator (coset-equivalent to it) when there is a generator."""
+    paulis = list(_all_paulis(s.n))
+    target = s.syndrome(rng.choice(paulis))
+    matching = [p for p in paulis if s.syndrome(p) == target]
+    members = rng.sample(matching, min(len(matching), rng.randint(2, 16)))
+    if s.gens:
+        shifted = multiply(members[0], rng.choice(s.gens))
+        if shifted not in members:
+            members.append(shifted)
+    return ErrorSet(2, s.n, tuple(members), provenance="filtered")
+
+
+def _all_paulis(n):
+    for xs in product(range(2), repeat=n):
+        for zs in product(range(2), repeat=n):
+            yield PauliVec(2, n, xs, zs)
+
 
 def _all_candidates(s):
-    from itertools import product
-
-    from twep.pauli import symplectic_product
-
-    for xs in product(range(2), repeat=s.n):
-        for zs in product(range(2), repeat=s.n):
-            p = PauliVec(2, s.n, xs, zs)
-            if p.is_identity or s.is_member(p):
-                continue
-            if all(symplectic_product(p, g) == 0 for g in s.gens):
-                yield p
+    for p in _all_paulis(s.n):
+        if p.is_identity or s.is_member(p):
+            continue
+        if all(symplectic_product(p, g) == 0 for g in s.gens):
+            yield p
 
 
 class TestGreedyStrategy:
@@ -167,50 +206,3 @@ class TestAveragingArgument:
             errors = enumerate_errors(n, 1, 2)
             mean = average_separated_pairs(s, errors)
             assert mean > 0.5 * comb(len(errors.members), 2)
-
-
-class TestKernelBackends:
-    def test_backends_agree(self):
-        if _kernels.BACKEND != "compiled":
-            pytest.skip("compiled kernels not built")
-        import random
-
-        rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(2, 6)
-            gens = []
-            s = StabilizerSet(2, n)
-            for _ in range(rng.randint(0, n - 1)):
-                for _attempt in range(50):
-                    p = PauliVec(
-                        2,
-                        n,
-                        tuple(rng.randint(0, 1) for _ in range(n)),
-                        tuple(rng.randint(0, 1) for _ in range(n)),
-                    )
-                    if p.is_identity:
-                        continue
-                    try:
-                        s = s.extend(p)
-                        gens.append(p)
-                        break
-                    except ValueError:
-                        continue
-            from twep.stabilizer import normalizer_complement_basis
-
-            comp = normalizer_complement_basis(s)
-            if not comp:
-                continue
-            span_x = [g.x_bits for g in s.gens]
-            span_z = [g.z_bits for g in s.gens]
-            comp_x = [c.x_bits for c in comp]
-            comp_z = [c.z_bits for c in comp]
-            assert _kernels_py.min_weight_excluding_span(
-                span_x, span_z, comp_x, comp_z
-            ) == _kernels.min_weight_excluding_span(span_x, span_z, comp_x, comp_z)
-            errors = enumerate_errors(n, 1, 2)
-            err_x = [e.x_bits for e in errors.members]
-            err_z = [e.z_bits for e in errors.members]
-            assert _kernels_py.best_splitter(
-                span_x, span_z, comp_x, comp_z, err_x, err_z, n
-            ) == _kernels.best_splitter(span_x, span_z, comp_x, comp_z, err_x, err_z, n)
