@@ -10,19 +10,26 @@ candidate errors still consistent with every outcome; it is only legal once
 all survivors act identically on the protected space (one coset of the
 accumulated stabilizer).
 
-Verification simulates the strategy against every error of weight at most t
-and accepts only if every single run ends with a consistent correction and
-enough certified pairs.
+Verification walks the strategy's outcome tree once.  The strategy sees
+only outcomes, so the errors of weight at most t that reach a node are
+exactly the candidates there: each Measure splits them by outcome, each
+Discard is completed once per distinct (stabilizer, registers) and split
+along the operators it adds, and each Finish classifies its errors into
+cosets once.  ``simulate`` runs one error at a time; it serves single runs
+and is the oracle the tests compare the walk against.  A report passes
+only if every error ends with a consistent correction and enough certified
+pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import errorspace
-from .errorspace import DEFAULT_CAP, coset_classes, filter_by_outcome
+from .errorspace import DEFAULT_CAP, ErrorSet, coset_classes, filter_by_outcome
 from .pauli import PauliVec, inverse, multiply, render, symplectic_product, weight
 from .stabilizer import StabilizerSet, complete_discard
 
@@ -247,43 +254,114 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
             raise TypeError(f"strategy returned {step!r}, not a Step")
 
 
-def _check_one(strategy: Strategy, hidden: PauliVec):
-    """(k_out, counterexample-or-None) for a single hidden error."""
-    try:
-        transcript = simulate(strategy, hidden)
-    except ProtocolError as exc:
-        return None, Counterexample(hidden, None, f"{type(exc).__name__}: {exc}")
-    if transcript.k_out < strategy.k_claimed:
-        return transcript.k_out, Counterexample(
-            hidden,
-            transcript,
-            f"k_out {transcript.k_out} below claimed {strategy.k_claimed}",
-        )
-    residual = multiply(inverse(transcript.correction), hidden)
-    if not transcript.final_stabilizer.is_member(residual):
-        return transcript.k_out, Counterexample(
-            hidden, transcript, "correction differs from the hidden error"
-        )
-    return transcript.k_out, None
-
-
 def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
-    """Simulate against every error of weight <= t (identity included).
+    """Check the strategy against every error of weight <= t (identity
+    included) by one walk over its outcome tree.
 
-    A run fails on any simulation error, on certifying fewer pairs than
-    claimed, or if the correction and the hidden error differ by anything
-    outside the final stabilizer.  Counterexamples come out in the
+    A node is a history, its stabilizer, the enumeration indices of the
+    errors that reach it and the consultations spent on its path.  The
+    strategy is consulted once per node, and the checks ``simulate`` makes
+    for one error run once per node for all of them.  Discard completions
+    are memoized on (stabilizer generators, registers) for the call.
+    Nodes are expanded in the order the one-error-at-a-time loop first
+    reaches them (least first error, then depth), so a fault that is not a
+    ProtocolError propagates exactly where that loop would raise it.
+
+    An error fails on a ProtocolError at a node on its path, on certifying
+    fewer pairs than claimed, or if the correction and the error differ by
+    anything outside the final stabilizer.  Counterexamples come out in the
     deterministic enumeration order.
     """
-    errors = errorspace.enumerate_errors(strategy.n, strategy.t, strategy.d, cap)
-    results = [_check_one(strategy, e) for e in errors.members]
-    k_values = [k for k, _ in results if k is not None]
-    counterexamples = tuple(c for _, c in results if c is not None)
+    d, n = strategy.d, strategy.n
+    members = errorspace.enumerate_errors(n, strategy.t, d, cap).members
+    found: list[Optional[Counterexample]] = [None] * len(members)
+    k_values: list[int] = []
+    completions: dict[tuple, list[PauliVec]] = {}
+
+    def split(op: PauliVec, reached: tuple[int, ...]):
+        parts: list[list[int]] = [[] for _ in range(d)]
+        for i in reached:
+            parts[symplectic_product(op, members[i])].append(i)
+        return [(outcome, tuple(part)) for outcome, part in enumerate(parts) if part]
+
+    frontier = [(0, 0, History(), StabilizerSet(d, n), tuple(range(len(members))))]
+    while frontier:
+        _, consultations, history, s, reached = heapq.heappop(frontier)
+        consultations += 1
+        try:
+            if consultations > 2 * n:
+                raise NonTerminationError(f"strategy exceeded {2 * n} consultations")
+            step = strategy.next(history)
+            if isinstance(step, Measure):
+                op = step.op
+                if not s.in_normalizer(op):
+                    raise IllegalMeasurement(
+                        f"{render(op)} anticommutes with an earlier measurement"
+                    )
+                if s.is_member(op):
+                    raise RedundantMeasurement(
+                        f"{render(op)} is already determined by earlier measurements"
+                    )
+                added = [op]
+            elif isinstance(step, Discard):
+                key = (s.gens, frozenset(step.registers))
+                if key not in completions:
+                    completions[key] = complete_discard(s, key[1])
+                added = completions[key]
+            elif isinstance(step, Finish):
+                survivors = ErrorSet(
+                    d, n, tuple(members[i] for i in reached), provenance="filtered"
+                )
+                partition = coset_classes(survivors, s)
+                if not partition.is_single_class:
+                    raise UnsoundFinish(
+                        f"{len(reached)} surviving errors span "
+                        f"{len(partition.classes)} distinct cosets; finished too early"
+                    )
+            else:
+                raise TypeError(f"strategy returned {step!r}, not a Step")
+        except ProtocolError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            for i in reached:
+                found[i] = Counterexample(members[i], None, reason)
+            continue
+        if isinstance(step, Finish):
+            transcript = Transcript(
+                history=history,
+                final_stabilizer=s,
+                correction=partition.representatives[0],
+                k_out=s.logical_count(),
+            )
+            k_values.append(transcript.k_out)
+            if transcript.k_out < strategy.k_claimed:
+                reason = f"k_out {transcript.k_out} below claimed {strategy.k_claimed}"
+                for i in reached:
+                    found[i] = Counterexample(members[i], transcript, reason)
+                continue
+            undo = inverse(transcript.correction)
+            for i in reached:
+                if not s.is_member(multiply(undo, members[i])):
+                    reason = "correction differs from the hidden error"
+                    found[i] = Counterexample(members[i], transcript, reason)
+            continue
+        branches = [(history, reached)]
+        for op in added:
+            branches = [
+                (h.with_entry(op, outcome), part)
+                for h, idx in branches
+                for outcome, part in split(op, idx)
+            ]
+            s = s.extend(op)
+        if isinstance(step, Discard):
+            branches = [(h.with_discard(step.registers), idx) for h, idx in branches]
+        for h, idx in branches:
+            heapq.heappush(frontier, (idx[0], consultations, h, s, idx))
+
+    counterexamples = tuple(c for c in found if c is not None)
     k_min = min(k_values) if k_values else -1
-    passed = not counterexamples and k_min >= strategy.k_claimed
     return Report(
-        errors_checked=len(errors.members),
+        errors_checked=len(members),
         k_min=k_min,
-        passed=passed,
+        passed=not counterexamples and k_min >= strategy.k_claimed,
         counterexamples=counterexamples,
     )

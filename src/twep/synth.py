@@ -102,9 +102,15 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
     )
 
 
-def greedy_strategy(n: int, t: int, cap: int = DEFAULT_CAP) -> Strategy:
-    """Strategy that rebuilds the survivor set from its history each step and
-    measures the best splitter until the survivors share one coset."""
+_NodeKey = tuple[tuple[int, int], ...]
+
+
+def _greedy(
+    n: int, t: int, cap: int
+) -> tuple[Strategy, dict[_NodeKey, tuple[ErrorSet, StabilizerSet, Step]]]:
+    """The greedy strategy and its node table, which maps each consulted
+    history (packed operator, outcome per entry) to the node's survivors,
+    stabilizer and step."""
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
     if count_errors(n, t, 2) > cap:
@@ -112,29 +118,44 @@ def greedy_strategy(n: int, t: int, cap: int = DEFAULT_CAP) -> Strategy:
             f"greedy synthesis over {count_errors(n, t, 2)} errors exceeds cap {cap}"
         )
     k_claimed = max(0, thm2_k(n, t))
-    memo: dict[tuple[tuple[int, int], ...], Step] = {}
+    table: dict[_NodeKey, tuple[ErrorSet, StabilizerSet, Step]] = {}
 
     def next_step(history: History) -> Step:
         key = tuple(
             ((op.x_bits << n) | op.z_bits, outcome) for op, outcome in history.entries
         )
-        if key in memo:
-            return memo[key]
-        survivors = base_errors(2, n, t, cap)
-        s = StabilizerSet(2, n)
-        for op, outcome in history.entries:
-            survivors = filter_by_outcome(survivors, op, outcome)
-            s = s.extend(op)
-        if coset_classes(survivors, s).is_single_class:
-            step: Step = Finish()
-        else:
-            step = Measure(choose_generator(s, survivors))
-        memo[key] = step
-        return step
+        if key not in table:
+            if key:
+                next_step(History(history.entries[:-1]))
+                survivors, s, _ = table[key[:-1]]
+                op, outcome = history.entries[-1]
+                survivors = filter_by_outcome(survivors, op, outcome)
+                s = s.extend(op)
+            else:
+                survivors, s = base_errors(2, n, t, cap), StabilizerSet(2, n)
+            if coset_classes(survivors, s).is_single_class:
+                step: Step = Finish()
+            else:
+                step = Measure(choose_generator(s, survivors))
+            table[key] = (survivors, s, step)
+        return table[key][2]
 
-    return Strategy(
+    strategy = Strategy(
         d=2, n=n, t=t, k_claimed=k_claimed, next=next_step, name=f"greedy-{n}-{t}"
     )
+    return strategy, table
+
+
+def greedy_strategy(n: int, t: int, cap: int = DEFAULT_CAP) -> Strategy:
+    """Strategy that measures the best splitter of the surviving errors until
+    they share one coset.
+
+    Each new history becomes a node of a table private to the strategy: its
+    survivors are the parent node's filtered by the last outcome, and its
+    stabilizer is the parent's extended by the last operator.  A history
+    whose parent is not in the table has the parent consulted first, so the
+    step function answers any history, not only those reached in order."""
+    return _greedy(n, t, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -154,36 +175,44 @@ def _balanced(max_side: int, total: int) -> bool:
 
 
 def greedy_step_stats(n: int, t: int, cap: int = DEFAULT_CAP):
-    """Replay every hidden error through the greedy strategy, collecting the
-    step counts and per-step split balance.  Returns (report, stats)."""
-    strategy = greedy_strategy(n, t, cap)
+    """Verify the greedy strategy and read its step counts and per-step split
+    balance from the node table the verification walk filled.  Returns
+    (report, stats).
+
+    ``max_steps`` is the depth of the deepest Finish node.  A Measure node
+    whose split is unbalanced is listed once per outcome branch reached,
+    ordered by the enumeration index of the branch's first survivor, then
+    by depth."""
+    strategy, table = _greedy(n, t, cap)
     report = verify(strategy, cap=cap)
+    faulted = [c.hidden for c in report.counterexamples if c.transcript is None]
+    if faulted:
+        # The strategy itself faulted (a ProtocolError): replaying the first
+        # error it hit raises that fault, as statistics of a tree that does
+        # not finish would mean nothing.
+        simulate(strategy, faulted[0])
+    position = {e: i for i, e in enumerate(base_errors(2, n, t, cap).members)}
+    sides: dict[_NodeKey, list[int]] = {}
+    for key, (survivors, _, _) in table.items():
+        if key:
+            sides.setdefault(key[:-1], [0, 0])[key[-1][1]] = len(survivors.members)
+    violations = []
+    for key, (survivors, _, _) in table.items():
+        if key:
+            c, a = sides[key[:-1]]
+            if not _balanced(max(c, a), c + a):
+                line = f"step {len(key)}: split {c}/{a} of {c + a}"
+                violations.append((position[survivors.members[0]], len(key), line))
+    violations.sort()
     bound = (count_errors(n, t, 2) - 1).bit_length() + 2
-    max_steps = 0
-    violations: list[str] = []
-    seen: set[tuple] = set()
-    for hidden in base_errors(2, n, t, cap).members:
-        transcript = simulate(strategy, hidden)
-        max_steps = max(max_steps, len(transcript.history))
-        prefix_key = []
-        survivors = base_errors(2, n, t, cap)
-        for op, outcome in transcript.history.entries:
-            prefix_key.append(((op.x_bits << n) | op.z_bits, outcome))
-            branch = tuple(prefix_key)
-            if branch not in seen:
-                seen.add(branch)
-                split = split_counts(op, survivors)
-                if not _balanced(split.max_side, len(survivors.members)):
-                    violations.append(
-                        f"step {len(prefix_key)}: split {split.commuting}/"
-                        f"{split.anticommuting} of {len(survivors.members)}"
-                    )
-            survivors = filter_by_outcome(survivors, op, outcome)
+    max_steps = max(
+        len(key) for key, (_, _, step) in table.items() if isinstance(step, Finish)
+    )
     stats = GreedyStats(
         step_bound=bound,
         max_steps=max_steps,
         balance_ok=not violations,
-        balance_violations=tuple(violations),
+        balance_violations=tuple(line for _, _, line in violations),
     )
     return report, stats
 

@@ -7,9 +7,20 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from twep.engine import simulate
-from twep.errorspace import base_errors, filter_by_outcome
-from twep.pauli import PauliVec, multiply, parse, symplectic_product, weight
+from twep.engine import (
+    Counterexample,
+    Discard,
+    Finish,
+    History,
+    Measure,
+    ProtocolError,
+    Report,
+    Strategy,
+    Transcript,
+    simulate,
+)
+from twep.errorspace import base_errors, enumerate_errors, filter_by_outcome
+from twep.pauli import PauliVec, inverse, multiply, parse, symplectic_product, weight
 from twep.protocols import hamming_family, nine_pair, qutrit_four, six_pair
 from twep.stabilizer import StabilizerSet
 
@@ -86,6 +97,9 @@ def check_candidate_set_oracle() -> str:
     for strategy in (six_pair(), hamming_family(3), nine_pair(), qutrit_four()):
         assert strategy.n <= 9
         all_errors = base_errors(strategy.d, strategy.n, strategy.t)
+        # The brute-force set depends on the prefix alone: each distinct
+        # prefix is computed once, and every (error, prefix) is still checked.
+        brute_sets: dict[tuple[tuple[PauliVec, int], ...], list[PauliVec]] = {}
         for hidden in all_errors.members:
             transcript = simulate(strategy, hidden)
             survivors = all_errors
@@ -93,13 +107,15 @@ def check_candidate_set_oracle() -> str:
             for op, outcome in transcript.history.entries:
                 survivors = filter_by_outcome(survivors, op, outcome)
                 seen.append((op, outcome))
-                brute = [
-                    e
-                    for e in all_errors.members
-                    if weight(e) <= strategy.t
-                    and all(symplectic_product(m, e) == o for m, o in seen)
-                ]
-                assert list(survivors.members) == brute
+                prefix = tuple(seen)
+                if prefix not in brute_sets:
+                    brute_sets[prefix] = [
+                        e
+                        for e in all_errors.members
+                        if weight(e) <= strategy.t
+                        and all(symplectic_product(m, e) == o for m, o in seen)
+                    ]
+                assert list(survivors.members) == brute_sets[prefix]
                 checked += 1
     return f"{checked} simulation prefixes against the brute-force candidate set"
 
@@ -142,3 +158,123 @@ def _all_paulis(d, n):
     for xs in product(range(d), repeat=n):
         for zs in product(range(d), repeat=n):
             yield PauliVec(d, n, xs, zs)
+
+
+def simulate_each(strategy: Strategy) -> list[tuple[PauliVec, Transcript | str]]:
+    """``simulate`` once per enumerated error, in enumeration order: each
+    error with its transcript, or with the reason a ProtocolError gave."""
+    runs = []
+    for hidden in enumerate_errors(strategy.n, strategy.t, strategy.d).members:
+        try:
+            runs.append((hidden, simulate(strategy, hidden)))
+        except ProtocolError as exc:
+            runs.append((hidden, f"{type(exc).__name__}: {exc}"))
+    return runs
+
+
+def report_of_runs(runs, k_claimed: int) -> Report:
+    """The k_out and residual checks over ``simulate_each``'s runs; the runs
+    do not depend on the claim, so one set serves a strategy and its twins."""
+    k_values = []
+    counterexamples = []
+    for hidden, run in runs:
+        if isinstance(run, str):
+            counterexamples.append(Counterexample(hidden, None, run))
+            continue
+        k_values.append(run.k_out)
+        if run.k_out < k_claimed:
+            reason = f"k_out {run.k_out} below claimed {k_claimed}"
+            counterexamples.append(Counterexample(hidden, run, reason))
+            continue
+        residual = multiply(inverse(run.correction), hidden)
+        if not run.final_stabilizer.is_member(residual):
+            reason = "correction differs from the hidden error"
+            counterexamples.append(Counterexample(hidden, run, reason))
+    k_min = min(k_values) if k_values else -1
+    return Report(
+        errors_checked=len(runs),
+        k_min=k_min,
+        passed=not counterexamples and k_min >= k_claimed,
+        counterexamples=tuple(counterexamples),
+    )
+
+
+def scripted(d, n, t, steps, k_claimed=0) -> Strategy:
+    """Strategy that replays a fixed step list regardless of outcomes."""
+
+    def next_step(history: History):
+        index = len(history.entries) + len(history.discards)
+        if index < len(steps):
+            return steps[index]
+        return Finish()
+
+    return Strategy(d=d, n=n, t=t, k_claimed=k_claimed, next=next_step)
+
+
+def verify_by_simulation(strategy: Strategy) -> Report:
+    """Reference verifier: ``simulate`` once per enumerated error, then the
+    k_out and residual checks, in enumeration order.  ``engine.verify``
+    must return the same report by walking the outcome tree once."""
+    return report_of_runs(simulate_each(strategy), strategy.k_claimed)
+
+
+def assert_same_report(walked: Report, reference: Report) -> None:
+    """Field-by-field equality; transcripts hold a StabilizerSet, which has
+    no __eq__, so comparing whole reports would compare identities."""
+    assert walked.to_text() == reference.to_text()
+    assert (walked.errors_checked, walked.k_min, walked.passed) == (
+        reference.errors_checked,
+        reference.k_min,
+        reference.passed,
+    )
+    assert len(walked.counterexamples) == len(reference.counterexamples)
+    for got, want in zip(walked.counterexamples, reference.counterexamples):
+        assert (got.hidden, got.reason) == (want.hidden, want.reason)
+        if want.transcript is None:
+            assert got.transcript is None
+            continue
+        assert got.transcript.to_text() == want.transcript.to_text()
+        assert got.transcript.history == want.transcript.history
+        assert (
+            got.transcript.final_stabilizer.gens
+            == want.transcript.final_stabilizer.gens
+        )
+
+
+def permute(op: PauliVec, perm) -> PauliVec:
+    """The operator with register i moved to register perm[i]."""
+    x = [0] * op.n
+    z = [0] * op.n
+    for i, target in enumerate(perm):
+        x[target] = op.x[i]
+        z[target] = op.z[i]
+    return PauliVec(op.d, op.n, tuple(x), tuple(z))
+
+
+def relabel(strategy: Strategy, perm, k_claimed: int) -> Strategy:
+    """``strategy`` with register i renamed perm[i], claiming k_claimed: each
+    history is mapped back to the original labels and each step forward."""
+    back = [0] * strategy.n
+    for i, target in enumerate(perm):
+        back[target] = i
+
+    def next_step(history: History):
+        original = History(
+            tuple((permute(op, back), o) for op, o in history.entries),
+            tuple(frozenset(back[r] for r in regs) for regs in history.discards),
+        )
+        step = strategy.next(original)
+        if isinstance(step, Measure):
+            return Measure(permute(step.op, perm))
+        if isinstance(step, Discard):
+            return Discard(frozenset(perm[r] for r in step.registers))
+        return step
+
+    return Strategy(
+        d=strategy.d,
+        n=strategy.n,
+        t=strategy.t,
+        k_claimed=k_claimed,
+        next=next_step,
+        name=f"{strategy.name}-relabelled",
+    )

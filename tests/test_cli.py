@@ -188,3 +188,35 @@ class TestMiCommand:
     def test_bad_count_exits_two(self, runner):
         result = runner.invoke(main, ["mi", "--count", "0"])
         assert result.exit_code == 2
+
+
+class TestGoldenStdout:
+    """stdout and exit codes as the per-error verifier printed them; the
+    outcome-tree walk must reproduce them byte for byte, the greedy
+    balance-violation lines (one per reached outcome branch) included."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "six-pair",
+            "hamming-m3",
+            "hamming-m4",
+            "hamming-m5",
+            "nine-pair",
+            "qutrit-four",
+            "hamming-m6",
+        ],
+    )
+    def test_verify(self, runner, name):
+        args = ["hamming", "--m", "6"] if name == "hamming-m6" else [name]
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 0
+        golden = FIXTURES / "golden" / f"verify_{name}.out"
+        assert result.stdout_bytes == golden.read_bytes()
+
+    @pytest.mark.parametrize("n, t, code", [(7, 1, 0), (5, 2, 1), (8, 2, 1)])
+    def test_greedy(self, runner, n, t, code):
+        result = runner.invoke(main, ["greedy", "--n", str(n), "--t", str(t)])
+        assert result.exit_code == code
+        golden = FIXTURES / "golden" / f"greedy_n{n}_t{t}.out"
+        assert result.stdout_bytes == golden.read_bytes()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from prop_checks import scripted
 from twep.engine import (
     Discard,
     EmptyCandidates,
@@ -22,18 +23,6 @@ from twep.engine import (
 from twep.pauli import PauliVec, parse, render
 from twep.protocols import hamming_family, nine_pair, six_pair
 from twep.stabilizer import StabilizerSet
-
-
-def scripted(d, n, t, steps, k_claimed=0):
-    """Strategy that replays a fixed step list regardless of outcomes."""
-
-    def next_step(history: History):
-        index = len(history.entries) + len(history.discards)
-        if index < len(steps):
-            return steps[index]
-        return Finish()
-
-    return Strategy(d=d, n=n, t=t, k_claimed=k_claimed, next=next_step)
 
 
 class TestSimulateWorkedExamples:
