@@ -17,7 +17,7 @@ from . import bounds as bounds_mod
 from . import protocols, synth
 from .engine import verify as engine_verify
 from .engine import simulate as engine_simulate
-from .errorspace import DEFAULT_CAP, CapExceededError
+from .errorspace import DEFAULT_CAP, CapExceededError, check_size
 from .pauli import PauliSyntaxError, parse, render, weight
 from .stabilizer import SizeLimitError
 
@@ -34,12 +34,17 @@ def _emit(text: str, output: str | None):
         click.echo(text, nl=False)
 
 
-def _get_protocol(name: str, m: int | None = None):
+def _get_protocol(name: str, m: int | None = None, cap: int = DEFAULT_CAP):
     if name == "hamming":
         if m is None:
             _fail("protocol 'hamming' needs --m", 2)
         if m < 3:
             _fail("--m must be at least 3", 2)
+        try:
+            # Gate before the family builds its operators on 2^m - 1 pairs.
+            check_size(2**m - 1, 1, 2, cap)
+        except CapExceededError as exc:
+            _fail(str(exc), 2)
         return protocols.NamedProtocol(
             name=f"hamming-m{m}",
             strategy=protocols.hamming_family(m),
@@ -81,7 +86,7 @@ def main():
 @click.option("--cap", type=int, default=DEFAULT_CAP, help="error-enumeration cap")
 def verify(protocol: str, m: int | None, cap: int):
     """Exhaustively verify a registered protocol."""
-    named = _get_protocol(protocol, m)
+    named = _get_protocol(protocol, m, cap)
     try:
         report = engine_verify(named.strategy, cap=cap)
     except CapExceededError as exc:
@@ -139,6 +144,8 @@ def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
 @click.option("--cap", type=int, default=DEFAULT_CAP)
 def greedy(n: int, t: int, cap: int):
     """Synthesize the greedy strategy for (n, t) and verify it exhaustively."""
+    if n < 1 or not 0 <= t <= n:
+        _fail(f"greedy needs --n >= 1 and 0 <= --t <= --n, got n={n}, t={t}", 2)
     try:
         report, stats = synth.greedy_step_stats(n, t, cap=cap)
     except (SizeLimitError, CapExceededError) as exc:

@@ -309,9 +309,7 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
                     completions[key] = complete_discard(s, key[1])
                 added = completions[key]
             elif isinstance(step, Finish):
-                survivors = ErrorSet(
-                    d, n, tuple(members[i] for i in reached), provenance="filtered"
-                )
+                survivors = ErrorSet(d, n, tuple(members[i] for i in reached))
                 partition = coset_classes(survivors, s)
                 if not partition.is_single_class:
                     raise UnsoundFinish(

@@ -18,25 +18,30 @@ from .stabilizer import StabilizerSet
 
 DEFAULT_CAP = 10_000_000
 
+# A verification walk peaks at about 22 bytes per site entry (n entries per
+# error): 2^24 entries, about 350 MB, admit hamming m = 11 (n·|E| = 12.6 M)
+# and reject m = 12 (50.3 M).
+MAX_SITE_ENTRIES = 1 << 24
+BYTES_PER_SITE_ENTRY = 22
+
 
 class CapExceededError(ValueError):
-    """Requested enumeration larger than the configured cap."""
+    """Requested enumeration larger than the configured cap, or holding more
+    than MAX_SITE_ENTRIES site entries."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration of {count} errors exceeds cap {cap}")
+    def __init__(self, count: int, cap: int, message: str = ""):
+        super().__init__(message or f"enumeration of {count} errors exceeds cap {cap}")
         self.count = count
         self.cap = cap
 
 
 @dataclass(frozen=True)
 class ErrorSet:
-    """Distinct candidate errors plus where they came from (a weight bound,
-    or 'filtered' after conditioning on an outcome)."""
+    """Distinct candidate errors on n registers of dimension d."""
 
     d: int
     n: int
     members: tuple[PauliVec, ...]
-    provenance: int | str
 
     def __len__(self) -> int:
         return len(self.members)
@@ -52,14 +57,30 @@ def count_errors(n: int, t: int, d: int = 2) -> int:
     return sum(per_site**j * comb(n, j) for j in range(0, t + 1))
 
 
+def check_size(n: int, t: int, d: int = 2, cap: int = DEFAULT_CAP) -> None:
+    """Raise CapExceededError unless the errors of weight <= t on n
+    registers number at most cap and hold at most MAX_SITE_ENTRIES site
+    entries (n·|E|), so nothing is built that cannot fit in memory."""
+    total = count_errors(n, t, d)
+    if total > cap:
+        raise CapExceededError(total, cap)
+    entries = n * total
+    if entries > MAX_SITE_ENTRIES:
+        raise CapExceededError(
+            total,
+            cap,
+            f"enumeration of {total} errors on {n} registers holds {entries} site"
+            f" entries, about {entries * BYTES_PER_SITE_ENTRY >> 20} MB; the limit"
+            f" is {MAX_SITE_ENTRIES} entries",
+        )
+
+
 def enumerate_errors(n: int, t: int, d: int = 2, cap: int = DEFAULT_CAP) -> ErrorSet:
     """All phaseless errors of weight <= t, identity first, deterministic
     order by weight then canonical key."""
     if t > n:
         raise ValueError(f"weight bound t={t} exceeds register count n={n}")
-    total = count_errors(n, t, d)
-    if total > cap:
-        raise CapExceededError(total, cap)
+    check_size(n, t, d, cap)
     nonzero = [(x, z) for x in range(d) for z in range(d) if x or z]
     members: list[PauliVec] = []
     for w in range(0, t + 1):
@@ -69,7 +90,7 @@ def enumerate_errors(n: int, t: int, d: int = 2, cap: int = DEFAULT_CAP) -> Erro
                 batch.append(PauliVec.from_sites(d, n, dict(zip(support, digits))))
         batch.sort(key=canonical_key)
         members.extend(batch)
-    return ErrorSet(d, n, tuple(members), provenance=t)
+    return ErrorSet(d, n, tuple(members))
 
 
 def filter_by_outcome(errors: ErrorSet, m: PauliVec, outcome: int) -> ErrorSet:
@@ -77,7 +98,7 @@ def filter_by_outcome(errors: ErrorSet, m: PauliVec, outcome: int) -> ErrorSet:
     if m.d != errors.d or m.n != errors.n:
         raise ValueError("measurement operator does not match the error set")
     kept = tuple(e for e in errors.members if symplectic_product(m, e) == outcome)
-    return ErrorSet(errors.d, errors.n, kept, provenance="filtered")
+    return ErrorSet(errors.d, errors.n, kept)
 
 
 @dataclass(frozen=True)

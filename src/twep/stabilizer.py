@@ -155,10 +155,6 @@ class StabilizerSet:
             yield PauliVec(self.d, self.n, tuple(v[: self.n]), tuple(v[self.n :]))
 
 
-def logical_count(s: StabilizerSet) -> int:
-    return s.logical_count()
-
-
 def _candidates_on(d: int, n: int, registers: Sequence[int]) -> Iterable[PauliVec]:
     """All nontrivial operators supported inside the given registers, in
     ascending canonical-key order."""

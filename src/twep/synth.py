@@ -7,23 +7,27 @@ error pairs (equivalently, with the smallest larger half).  An averaging
 argument guarantees such an operator splits the survivors to within
 sqrt(|E|)/2 of half, so the survivor count collapses geometrically and the
 whole protocol spends at most ceil(log2 |E|) + 2 measurements.
+
+The decision tree is built once, up front, by one recursive bisection of
+the enumerated errors; the strategy looks its steps up in that tree, and
+the step statistics are read from it after ``verify`` has checked it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iter_product
+from typing import NamedTuple
 
 from . import _kernels
 from .bounds import thm2_k
 from .engine import (
     Finish,
-    History,
     Measure,
     ProtocolError,
     Step,
     Strategy,
-    simulate,
+    simulate,  # unused here; perfbench's tracer wraps ``synth.simulate``
     verify,
 )
 from .errorspace import (
@@ -102,60 +106,66 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
     )
 
 
-_NodeKey = tuple[tuple[int, int], ...]
+class _Node(NamedTuple):
+    """One node of the greedy tree: its step, the enumeration index of its
+    first survivor, and the survivor count of each child (Measure only)."""
+
+    step: Step
+    first: int
+    counts: tuple[int, ...]
 
 
-def _greedy(
-    n: int, t: int, cap: int
-) -> tuple[Strategy, dict[_NodeKey, tuple[ErrorSet, StabilizerSet, Step]]]:
-    """The greedy strategy and its node table, which maps each consulted
-    history (packed operator, outcome per entry) to the node's survivors,
-    stabilizer and step."""
+def _synthesize(n: int, t: int, cap: int) -> tuple[Strategy, dict[tuple, _Node]]:
+    """The greedy strategy and its decision tree, keyed by history entries.
+
+    One recursive bisection from the root: a node whose survivors admit no
+    separator finishes, any other measures ``choose_generator``'s operator,
+    splits its survivors by outcome and recurses into the non-empty
+    children.  Those are exactly the histories the strategy is ever
+    consulted on."""
+    if n < 1 or not 0 <= t <= n:
+        raise ValueError(
+            f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"
+        )
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
-    if count_errors(n, t, 2) > cap:
-        raise SizeLimitError(
-            f"greedy synthesis over {count_errors(n, t, 2)} errors exceeds cap {cap}"
-        )
+    total = count_errors(n, t, 2)
+    if total > cap:
+        raise SizeLimitError(f"greedy synthesis over {total} errors exceeds cap {cap}")
+    base = base_errors(2, n, t, cap)
+    position = {e: i for i, e in enumerate(base.members)}
+    tree: dict[tuple, _Node] = {}
+
+    def grow(entries, survivors: ErrorSet, s: StabilizerSet) -> None:
+        first = position[survivors.members[0]]
+        try:
+            op = choose_generator(s, survivors)
+        except NoSeparatorError:
+            tree[entries] = _Node(Finish(), first, ())
+            return
+        children = [filter_by_outcome(survivors, op, outcome) for outcome in (0, 1)]
+        tree[entries] = _Node(Measure(op), first, tuple(map(len, children)))
+        s = s.extend(op)
+        for outcome, child in enumerate(children):
+            if child.members:
+                grow(entries + ((op, outcome),), child, s)
+
+    grow((), base, StabilizerSet(2, n))
     k_claimed = max(0, thm2_k(n, t))
-    table: dict[_NodeKey, tuple[ErrorSet, StabilizerSet, Step]] = {}
-
-    def next_step(history: History) -> Step:
-        key = tuple(
-            ((op.x_bits << n) | op.z_bits, outcome) for op, outcome in history.entries
-        )
-        if key not in table:
-            if key:
-                next_step(History(history.entries[:-1]))
-                survivors, s, _ = table[key[:-1]]
-                op, outcome = history.entries[-1]
-                survivors = filter_by_outcome(survivors, op, outcome)
-                s = s.extend(op)
-            else:
-                survivors, s = base_errors(2, n, t, cap), StabilizerSet(2, n)
-            if coset_classes(survivors, s).is_single_class:
-                step: Step = Finish()
-            else:
-                step = Measure(choose_generator(s, survivors))
-            table[key] = (survivors, s, step)
-        return table[key][2]
-
     strategy = Strategy(
-        d=2, n=n, t=t, k_claimed=k_claimed, next=next_step, name=f"greedy-{n}-{t}"
+        2, n, t, k_claimed, lambda h: tree[h.entries].step, name=f"greedy-{n}-{t}"
     )
-    return strategy, table
+    return strategy, tree
 
 
 def greedy_strategy(n: int, t: int, cap: int = DEFAULT_CAP) -> Strategy:
     """Strategy that measures the best splitter of the surviving errors until
     they share one coset.
 
-    Each new history becomes a node of a table private to the strategy: its
-    survivors are the parent node's filtered by the last outcome, and its
-    stabilizer is the parent's extended by the last operator.  A history
-    whose parent is not in the table has the parent consulted first, so the
-    step function answers any history, not only those reached in order."""
-    return _greedy(n, t, cap)[0]
+    The whole decision tree is built up front, so the step function is a
+    lookup; it answers every history a weight-<=t error can reach and no
+    other.  Needs n >= 1 and 0 <= t <= n (ValueError otherwise)."""
+    return _synthesize(n, t, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -176,41 +186,29 @@ def _balanced(max_side: int, total: int) -> bool:
 
 def greedy_step_stats(n: int, t: int, cap: int = DEFAULT_CAP):
     """Verify the greedy strategy and read its step counts and per-step split
-    balance from the node table the verification walk filled.  Returns
-    (report, stats).
+    balance from its tree.  Returns (report, stats).
 
     ``max_steps`` is the depth of the deepest Finish node.  A Measure node
-    whose split is unbalanced is listed once per outcome branch reached,
-    ordered by the enumeration index of the branch's first survivor, then
-    by depth."""
-    strategy, table = _greedy(n, t, cap)
+    whose split is unbalanced is listed once per child it has, ordered by
+    the enumeration index of the child's first survivor, then by depth."""
+    strategy, tree = _synthesize(n, t, cap)
     report = verify(strategy, cap=cap)
-    faulted = [c.hidden for c in report.counterexamples if c.transcript is None]
-    if faulted:
-        # The strategy itself faulted (a ProtocolError): replaying the first
-        # error it hit raises that fault, as statistics of a tree that does
-        # not finish would mean nothing.
-        simulate(strategy, faulted[0])
-    position = {e: i for i, e in enumerate(base_errors(2, n, t, cap).members)}
-    sides: dict[_NodeKey, list[int]] = {}
-    for key, (survivors, _, _) in table.items():
-        if key:
-            sides.setdefault(key[:-1], [0, 0])[key[-1][1]] = len(survivors.members)
     violations = []
-    for key, (survivors, _, _) in table.items():
-        if key:
-            c, a = sides[key[:-1]]
-            if not _balanced(max(c, a), c + a):
-                line = f"step {len(key)}: split {c}/{a} of {c + a}"
-                violations.append((position[survivors.members[0]], len(key), line))
+    for key, node in tree.items():
+        if not node.counts or _balanced(max(node.counts), sum(node.counts)):
+            continue
+        c, a = node.counts
+        line = f"step {len(key) + 1}: split {c}/{a} of {c + a}"
+        for outcome, size in enumerate(node.counts):
+            if size:
+                child = tree[key + ((node.step.op, outcome),)]
+                violations.append((child.first, len(key) + 1, line))
     violations.sort()
-    bound = (count_errors(n, t, 2) - 1).bit_length() + 2
-    max_steps = max(
-        len(key) for key, (_, _, step) in table.items() if isinstance(step, Finish)
-    )
     stats = GreedyStats(
-        step_bound=bound,
-        max_steps=max_steps,
+        step_bound=(count_errors(n, t, 2) - 1).bit_length() + 2,
+        max_steps=max(
+            len(key) for key, node in tree.items() if isinstance(node.step, Finish)
+        ),
         balance_ok=not violations,
         balance_violations=tuple(line for _, _, line in violations),
     )

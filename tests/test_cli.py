@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from twep.cli import main
 
@@ -214,9 +217,65 @@ class TestGoldenStdout:
         golden = FIXTURES / "golden" / f"verify_{name}.out"
         assert result.stdout_bytes == golden.read_bytes()
 
-    @pytest.mark.parametrize("n, t, code", [(7, 1, 0), (5, 2, 1), (8, 2, 1)])
+    @pytest.mark.parametrize(
+        "n, t, code", [(7, 1, 0), (5, 2, 1), (6, 2, 0), (8, 2, 1), (9, 2, 1)]
+    )
     def test_greedy(self, runner, n, t, code):
         result = runner.invoke(main, ["greedy", "--n", str(n), "--t", str(t)])
         assert result.exit_code == code
         golden = FIXTURES / "golden" / f"greedy_n{n}_t{t}.out"
         assert result.stdout_bytes == golden.read_bytes()
+
+
+class TestSizeGates:
+    @pytest.mark.parametrize(
+        "m, message", [(16, "12884574210 site entries"), (40, "exceeds cap")]
+    )
+    def test_huge_hamming_exits_two_before_building(self, runner, m, message):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "hamming", "--m", str(m)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("n, t", [(0, 0), (-1, 0), (3, 5), (3, -1)])
+    def test_bad_greedy_parameters_exit_two(self, runner, n, t):
+        result = runner.invoke(main, ["greedy", "--n", str(n), "--t", str(t)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
+
+_RANGES = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.tuples(st.integers(-3, 8), st.integers(-3, 8)).map(lambda r: f"{r[0]}..{r[1]}"),
+)
+_FORMATS = st.sampled_from([[], ["--format", "csv"]])
+_INVOCATIONS = st.one_of(
+    st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
+        lambda nt: ["greedy", "--n", str(nt[0]), "--t", str(nt[1])]
+    ),
+    st.tuples(_RANGES, _RANGES, _FORMATS).map(
+        lambda a: ["bounds", "--n", a[0], "--t", a[1], *a[2]]
+    ),
+    st.tuples(st.integers(-2, 40), _FORMATS).map(
+        lambda a: ["mi", "--count", str(a[0]), *a[1]]
+    ),
+    st.tuples(st.integers(-2, 100), _FORMATS).map(
+        lambda a: ["rates", "--points", str(a[0]), *a[1]]
+    ),
+    st.one_of(st.integers(-1, 6), st.integers(12, 64)).map(
+        lambda m: ["verify", "hamming", "--m", str(m)]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=_INVOCATIONS)
+def test_exit_codes_hold_under_fuzzing(args):
+    """Any drawn invocation exits 0, 1 or 2 without an uncaught exception."""
+    result = CliRunner().invoke(main, args)
+    event(f"{args[0]} exit {result.exit_code}")
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args

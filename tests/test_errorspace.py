@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from twep.errorspace import (
+    MAX_SITE_ENTRIES,
     CapExceededError,
     ErrorSet,
+    check_size,
     coset_classes,
     count_errors,
     enumerate_errors,
@@ -43,6 +45,12 @@ class TestCounting:
         with pytest.raises(CapExceededError) as err:
             enumerate_errors(9, 2, 2, cap=100)
         assert err.value.count == 352
+
+    def test_site_entry_gate_admits_hamming_m11_and_rejects_m12(self):
+        check_size(2**11 - 1, 1)
+        with pytest.raises(CapExceededError, match="50311170 site entries"):
+            check_size(2**12 - 1, 1)
+        assert 127 * count_errors(127, 1) <= MAX_SITE_ENTRIES
 
 
 class TestEnumerationOrder:
@@ -109,7 +117,7 @@ class TestCosetClasses:
             2, 4, [parse(g, 2) for g in ("XXXX", "ZZZZ", "XXII", "ZZII")]
         )
         members = (parse("YIII", 2), parse("IYII", 2))
-        errors = ErrorSet(2, 4, members, provenance="filtered")
+        errors = ErrorSet(2, 4, members)
         partition = coset_classes(errors, s)
         assert partition.is_single_class
         assert partition.representatives[0] == parse("YIII", 2)
@@ -124,7 +132,7 @@ class TestCosetClasses:
             2, 4, [parse(g, 2) for g in ("XXXX", "ZZZZ", "XXII", "ZZII")]
         )
         members = (parse("XIII", 2), parse("ZIII", 2))
-        errors = ErrorSet(2, 4, members, provenance="filtered")
+        errors = ErrorSet(2, 4, members)
         assert len(coset_classes(errors, s).classes) == 2
 
     def test_enlarging_stabilizer_coarsens(self):
@@ -144,9 +152,7 @@ class TestCosetClasses:
 
     def test_representative_minimizes_weight_then_key(self, four_qubit_code):
         s = four_qubit_code.extend(parse("XXII", 2)).extend(parse("ZZII", 2))
-        errors = ErrorSet(
-            2, 4, (parse("YYII", 2), parse("IIII", 2)), provenance="filtered"
-        )
+        errors = ErrorSet(2, 4, (parse("YYII", 2), parse("IIII", 2)))
         partition = coset_classes(errors, s)
         assert partition.is_single_class
         assert partition.representatives[0].is_identity

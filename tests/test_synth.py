@@ -45,9 +45,7 @@ class TestSplitCounts:
         assert split.separated_pairs == 0
 
     def test_perfect_split_of_four(self):
-        errors = ErrorSet(
-            2, 1, tuple(parse(s, 2) for s in ("I", "X", "Y", "Z")), provenance=1
-        )
+        errors = ErrorSet(2, 1, tuple(parse(s, 2) for s in ("I", "X", "Y", "Z")))
         split = split_counts(parse("X", 2), errors)
         assert (split.commuting, split.anticommuting) == (2, 2)
         assert split.separated_pairs == 4
@@ -66,7 +64,7 @@ class TestSplitCounts:
 
 class TestChooseGenerator:
     def test_single_register_pair(self):
-        errors = ErrorSet(2, 1, (parse("X", 2), parse("Z", 2)), provenance="filtered")
+        errors = ErrorSet(2, 1, (parse("X", 2), parse("Z", 2)))
         chosen = choose_generator(StabilizerSet(2, 1), errors)
         assert render(chosen) == "X"
         split = split_counts(chosen, errors)
@@ -83,13 +81,13 @@ class TestChooseGenerator:
 
     def test_full_rank_stabilizer_has_no_separator(self):
         s = StabilizerSet(2, 2, [parse("XI", 2), parse("IX", 2)])
-        errors = ErrorSet(2, 2, (parse("II", 2), parse("XI", 2)), provenance="filtered")
+        errors = ErrorSet(2, 2, (parse("II", 2), parse("XI", 2)))
         with pytest.raises(NoSeparatorError):
             choose_generator(s, errors)
 
     def test_coset_equivalent_errors_need_no_separator(self):
         s = StabilizerSet(2, 2, [parse("XX", 2)])
-        errors = ErrorSet(2, 2, (parse("II", 2), parse("XX", 2)), provenance="filtered")
+        errors = ErrorSet(2, 2, (parse("II", 2), parse("XX", 2)))
         with pytest.raises(NoSeparatorError):
             choose_generator(s, errors)
 
@@ -135,7 +133,7 @@ def _random_survivors(rng, s):
         shifted = multiply(members[0], rng.choice(s.gens))
         if shifted not in members:
             members.append(shifted)
-    return ErrorSet(2, s.n, tuple(members), provenance="filtered")
+    return ErrorSet(2, s.n, tuple(members))
 
 
 def _all_paulis(n):

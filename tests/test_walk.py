@@ -15,17 +15,16 @@ from hypothesis import strategies as st
 
 import prop_checks
 from prop_checks import scripted
-from twep import engine
+from twep import engine, synth
 from twep.engine import (
     Discard,
     Finish,
     History,
     Measure,
-    NonTerminationError,
     Strategy,
     verify,
 )
-from twep.errorspace import count_errors
+from twep.errorspace import DEFAULT_CAP, count_errors
 from twep.pauli import PauliVec, canonical_key, multiply, parse
 from twep.protocols import get, hamming_family, names, nine_pair
 from twep.stabilizer import StabilizerSet, normalizer_complement_basis
@@ -190,6 +189,22 @@ def test_each_history_is_consulted_once():
         assert seen and set(seen.values()) == {1}
 
 
+@pytest.mark.parametrize("n, t", [(5, 1), (7, 1), (6, 2)])
+def test_greedy_tree_is_consulted_once_per_node(n, t):
+    """verify consults every node of greedy's tree exactly once, and
+    consults no history outside it."""
+    strategy, tree = synth._synthesize(n, t, DEFAULT_CAP)
+    seen: Counter = Counter()
+
+    def counting(history):
+        seen[history.entries] += 1
+        return strategy.next(history)
+
+    assert verify(Strategy(2, n, t, strategy.k_claimed, counting)).passed
+    assert set(seen) == set(tree)
+    assert set(seen.values()) == {1}
+
+
 def test_each_distinct_discard_is_completed_once(monkeypatch):
     calls = []
     original = engine.complete_discard
@@ -204,8 +219,9 @@ def test_each_distinct_discard_is_completed_once(monkeypatch):
 
 
 def test_greedy_fault_is_raised_from_the_step_statistics():
-    # With no registers the consultation budget 2n is zero.
-    with pytest.raises(NonTerminationError):
+    # No registers: the consultation budget 2n would be zero, so synthesis
+    # rejects the parameters before building a tree.
+    with pytest.raises(ValueError):
         greedy_step_stats(0, 0)
 
 
