@@ -18,7 +18,10 @@ along the operators it adds, and each Finish classifies its errors into
 cosets once.  ``simulate`` runs one error at a time; it serves single runs
 and is the oracle the tests compare the walk against.  A report passes
 only if every error ends with a consistent correction and enough certified
-pairs.
+pairs.  A step the strategy may not take (a measurement that is off the
+protocol's registers, anticommuting or redundant; a discard of no, too many
+or nonexistent registers) is a ProtocolError, and so a counterexample for
+every error that reaches it, in both.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional
 from . import errorspace
 from .errorspace import DEFAULT_CAP, ErrorSet, coset_classes, filter_by_outcome
 from .pauli import PauliVec, inverse, multiply, render, symplectic_product, weight
-from .stabilizer import StabilizerSet, complete_discard
+from .stabilizer import DISCARD_MAX_REGISTERS, StabilizerSet, complete_discard
 
 
 class ProtocolError(Exception):
@@ -39,11 +42,17 @@ class ProtocolError(Exception):
 
 
 class IllegalMeasurement(ProtocolError):
-    """Measured operator anticommutes with an earlier one."""
+    """Measured operator anticommutes with an earlier one, or does not act
+    on the protocol's registers."""
 
 
 class RedundantMeasurement(ProtocolError):
     """Measured operator is already in the span of earlier measurements."""
+
+
+class IllegalDiscard(ProtocolError):
+    """Discard of no registers, of registers outside the protocol, or of more
+    than DISCARD_MAX_REGISTERS registers."""
 
 
 class UnsoundFinish(ProtocolError):
@@ -125,15 +134,15 @@ class Transcript:
     correction: PauliVec
     k_out: int
 
-    def to_lines(self) -> list[str]:
-        lines = [
-            json.dumps({"op": render(op), "outcome": outcome})
-            for op, outcome in self.history.entries
+    def to_records(self) -> list[dict]:
+        records = [
+            {"op": render(op), "outcome": outcome} for op, outcome in self.history.entries
         ]
-        lines.append(
-            json.dumps({"correction": render(self.correction), "k_out": self.k_out})
-        )
-        return lines
+        records.append({"correction": render(self.correction), "k_out": self.k_out})
+        return records
+
+    def to_lines(self) -> list[str]:
+        return [json.dumps(record) for record in self.to_records()]
 
     def to_text(self) -> str:
         return "\n".join(self.to_lines()) + "\n"
@@ -156,6 +165,13 @@ class Report:
     counterexamples: tuple[Counterexample, ...] = field(default=())
 
     def to_dict(self) -> dict:
+        """Plain-data form.  Each distinct transcript is rendered once (every
+        counterexample at one Finish leaf shares its leaf's transcript), so
+        the counterexamples that share a transcript share its record list."""
+        records: dict[int, list[dict]] = {}
+        for c in self.counterexamples:
+            if c.transcript is not None and id(c.transcript) not in records:
+                records[id(c.transcript)] = c.transcript.to_records()
         return {
             "errors_checked": self.errors_checked,
             "k_min": self.k_min,
@@ -165,9 +181,7 @@ class Report:
                     "error": render(c.hidden),
                     "reason": c.reason,
                     "transcript": (
-                        [json.loads(line) for line in c.transcript.to_lines()]
-                        if c.transcript is not None
-                        else None
+                        records[id(c.transcript)] if c.transcript is not None else None
                     ),
                 }
                 for c in self.counterexamples
@@ -205,6 +219,38 @@ def generic_correction(
     return partition.representatives[0]
 
 
+def _check_step(step: Step, s: StabilizerSet) -> None:
+    """Raise the ProtocolError a Measure or Discard step commits against the
+    stabilizer s, before the step runs; other steps pass unchecked."""
+    if isinstance(step, Measure):
+        op = step.op
+        if op.d != s.d or op.n != s.n:
+            raise IllegalMeasurement(
+                f"{render(op)} acts on d={op.d}, n={op.n}; "
+                f"the protocol has d={s.d}, n={s.n}"
+            )
+        if not s.in_normalizer(op):
+            raise IllegalMeasurement(
+                f"{render(op)} anticommutes with an earlier measurement"
+            )
+        if s.is_member(op):
+            raise RedundantMeasurement(
+                f"{render(op)} is already determined by earlier measurements"
+            )
+    elif isinstance(step, Discard):
+        registers = frozenset(step.registers)
+        if not registers:
+            raise IllegalDiscard("discard of no registers")
+        if len(registers) > DISCARD_MAX_REGISTERS:
+            raise IllegalDiscard(
+                f"discard of {len(registers)} registers exceeds the bound "
+                f"{DISCARD_MAX_REGISTERS}"
+            )
+        outside = sorted(r for r in registers if not 0 <= r < s.n)
+        if outside:
+            raise IllegalDiscard(f"discard registers {outside} lie outside 0..{s.n - 1}")
+
+
 def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
     """Run one protocol execution against a hidden error."""
     if hidden.d != strategy.d or hidden.n != strategy.n:
@@ -223,16 +269,9 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
                 f"strategy exceeded {2 * strategy.n} consultations"
             )
         step = strategy.next(history)
+        _check_step(step, s)
         if isinstance(step, Measure):
             op = step.op
-            if not s.in_normalizer(op):
-                raise IllegalMeasurement(
-                    f"{render(op)} anticommutes with an earlier measurement"
-                )
-            if s.is_member(op):
-                raise RedundantMeasurement(
-                    f"{render(op)} is already determined by earlier measurements"
-                )
             outcome = symplectic_product(op, hidden)
             history = history.with_entry(op, outcome)
             s = s.extend(op)
@@ -292,17 +331,9 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
             if consultations > 2 * n:
                 raise NonTerminationError(f"strategy exceeded {2 * n} consultations")
             step = strategy.next(history)
+            _check_step(step, s)
             if isinstance(step, Measure):
-                op = step.op
-                if not s.in_normalizer(op):
-                    raise IllegalMeasurement(
-                        f"{render(op)} anticommutes with an earlier measurement"
-                    )
-                if s.is_member(op):
-                    raise RedundantMeasurement(
-                        f"{render(op)} is already determined by earlier measurements"
-                    )
-                added = [op]
+                added = [step.op]
             elif isinstance(step, Discard):
                 key = (s.gens, frozenset(step.registers))
                 if key not in completions:

@@ -8,18 +8,40 @@ commutation reduces to the symplectic product.
 Supported dimensions are the primes 2 and 3.  Text form for d=2 is a string
 over ``I X Y Z`` (``Y`` is the phaseless ``XZ``); for d=3 it is a
 comma-separated list of site tokens ``I X X2 Z Z2 XZ XZ2 X2Z X2Z2``.
+
+Every operator is also packed, once, at construction, into four bit-planes,
+one integer each, register i at bit i: bit i of ``x1`` (``x2``) is set iff
+``x[i]`` is 1 (2), and likewise ``z1`` and ``z2``; for d=2 the value-2
+planes are 0.  The commutation value of a and b in both dimensions is then
+
+    pop(a.x1&b.z1 | a.x2&b.z2) + 2·pop(a.x1&b.z2 | a.x2&b.z1)
+    - (the same with x and z swapped)   (mod d)
+
+since site i adds x_a·z_b - z_a·x_b and x_a·z_b is 1 exactly where the
+exponents are (1, 1) or (2, 2) and 2 exactly where they are (1, 2) or
+(2, 1), mod 3.  For d=2 it is the parity of pop((a.x1&b.z1) ^ (a.z1&b.x1)),
+as in Aaronson and Gottesman's packed tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 SUPPORTED_DIMENSIONS = (2, 3)
+_DIGITS = {d: frozenset(range(d)) for d in SUPPORTED_DIMENSIONS}
+
+# bytes.translate tables: exponent bytes to the ASCII bits of one plane,
+# ASCII bits back to bytes, and site digits to ASCII base-d^2 digits.
+_PLANE_ONE = bytes.maketrans(b"\0\1\2", b"010")
+_PLANE_TWO = bytes.maketrans(b"\0\1\2", b"001")
+_ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
+_ASCII_DIGITS = bytes.maketrans(bytes(range(9)), b"012345678")
 
 # Site letter <-> exponent pair, d=2.  Y acts on both components.
 _QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_QUBIT_RENDER = {v: k for k, v in _QUBIT_LETTERS.items()}
+# Site digit x + 2z -> letter, d=2.
+_QUBIT_RENDER = bytes.maketrans(b"\0\1\2\3", b"IXZY")
 
 # Site token <-> exponent pair, d=3.
 _QUTRIT_TOKENS = {
@@ -57,13 +79,27 @@ class PauliVec:
     x: tuple[int, ...]
     z: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.d not in SUPPORTED_DIMENSIONS:
-            raise ValueError(f"unsupported register dimension {self.d}")
-        if len(self.x) != self.n or len(self.z) != self.n:
+    # Written out in place of the generated frozen __init__ and a
+    # __post_init__: one dict update stores the fields and the planes, where
+    # the generated code pays an object.__setattr__ per field.  The planes
+    # are not fields, so eq, hash and repr see d, n, x and z only.
+    def __init__(self, d: int, n: int, x: tuple[int, ...], z: tuple[int, ...]):
+        if d not in SUPPORTED_DIMENSIONS:
+            raise ValueError(f"unsupported register dimension {d}")
+        if len(x) != n or len(z) != n:
             raise ValueError("exponent vectors must have length n")
-        if any(not 0 <= v < self.d for v in self.x + self.z):
+        digits = _DIGITS[d]
+        if not (digits.issuperset(x) and digits.issuperset(z)):
             raise ValueError("exponents must lie in [0, d)")
+        # One binary literal per plane value holds x in its low n bits and z
+        # above them, register 0 last; b"\0" stands in for no registers.
+        sites = bytes(x + z)[::-1] or b"\0"
+        low = (1 << n) - 1
+        ones = int(sites.translate(_PLANE_ONE), 2)
+        twos = int(sites.translate(_PLANE_TWO), 2) if d == 3 else 0
+        self.__dict__.update(
+            d=d, n=n, x=x, z=z, x1=ones & low, x2=twos & low, z1=ones >> n, z2=twos >> n
+        )
 
     @classmethod
     def identity(cls, d: int, n: int) -> PauliVec:
@@ -83,15 +119,6 @@ class PauliVec:
     def is_identity(self) -> bool:
         return not any(self.x) and not any(self.z)
 
-    @cached_property
-    def x_bits(self) -> int:
-        """x vector packed into one integer, register i at bit i (d=2 use)."""
-        return sum(b << i for i, b in enumerate(self.x))
-
-    @cached_property
-    def z_bits(self) -> int:
-        return sum(b << i for i, b in enumerate(self.z))
-
     def __str__(self) -> str:
         return render(self)
 
@@ -103,16 +130,52 @@ def _check_compatible(p: PauliVec, q: PauliVec) -> None:
         )
 
 
+class _Planes(NamedTuple):
+    """The bit-planes of an operator that has no PauliVec (yet)."""
+
+    x1: int
+    x2: int
+    z1: int
+    z2: int
+
+
+def _product(a, b, d: int) -> int:
+    """Commutation value of two same-shape PauliVecs or _Planes over Z_d,
+    from their bit-planes (formula in the module docstring)."""
+    if d == 2:
+        return ((a.x1 & b.z1) ^ (a.z1 & b.x1)).bit_count() & 1
+    xz = (a.x1 & b.z1 | a.x2 & b.z2).bit_count() + 2 * (
+        a.x1 & b.z2 | a.x2 & b.z1
+    ).bit_count()
+    zx = (a.z1 & b.x1 | a.z2 & b.x2).bit_count() + 2 * (
+        a.z1 & b.x2 | a.z2 & b.x1
+    ).bit_count()
+    return (xz - zx) % d
+
+
+def _unpack(n: int, one: int, two: int) -> tuple[int, ...]:
+    """Exponent vector of the value-1 and value-2 planes of one component."""
+
+    def spread(plane: int) -> int:  # bit i of the plane -> byte i
+        return int.from_bytes(f"{plane:0{n}b}".encode().translate(_ASCII_BITS), "big")
+
+    return tuple((spread(one) + 2 * spread(two)).to_bytes(n, "little"))
+
+
+def _site_digits(p: PauliVec) -> bytes:
+    """One byte per register, register 0 first: the site digit x + d*z."""
+    x = int.from_bytes(bytes(p.x), "big")
+    z = int.from_bytes(bytes(p.z), "big")
+    return (x + p.d * z).to_bytes(p.n, "big")
+
+
 def symplectic_product(p: PauliVec, q: PauliVec) -> int:
     """Commutation phase exponent of p and q, in Z_d.
 
     Zero iff the operators commute; for d=2 this is the anticommutation bit.
     """
     _check_compatible(p, q)
-    total = 0
-    for px, pz, qx, qz in zip(p.x, p.z, q.x, q.z):
-        total += px * qz - pz * qx
-    return total % p.d
+    return _product(p, q, p.d)
 
 
 def multiply(p: PauliVec, q: PauliVec) -> PauliVec:
@@ -134,18 +197,14 @@ def inverse(p: PauliVec) -> PauliVec:
 
 def weight(p: PauliVec) -> int:
     """Number of registers on which p acts nontrivially."""
-    return sum(1 for xe, ze in zip(p.x, p.z) if xe or ze)
+    return (p.x1 | p.x2 | p.z1 | p.z2).bit_count()
 
 
 def canonical_key(p: PauliVec) -> int:
     """Total order on same-shape operators: base-d^2 digits x+d*z, site 0 least
     significant.  Per-site digit order is I < X < .. < Z < .. so that pure-X
     operators sort before pure-Z ones on the same support."""
-    dd = p.d * p.d
-    key = 0
-    for i in range(p.n - 1, -1, -1):
-        key = key * dd + (p.x[i] + p.d * p.z[i])
-    return key
+    return int(_site_digits(p)[::-1].translate(_ASCII_DIGITS) or b"0", p.d * p.d)
 
 
 def parse(text: str, d: int) -> PauliVec:
@@ -181,5 +240,5 @@ def parse(text: str, d: int) -> PauliVec:
 def render(p: PauliVec) -> str:
     """Render to canonical text; inverse of parse on valid input."""
     if p.d == 2:
-        return "".join(_QUBIT_RENDER[xz] for xz in zip(p.x, p.z))
+        return _site_digits(p).translate(_QUBIT_RENDER).decode()
     return ",".join(_QUTRIT_RENDER[xz] for xz in zip(p.x, p.z))

@@ -18,6 +18,9 @@ from ._kernels import _Rows, _insert, _reduce
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
+    _Planes,
+    _product,
+    _unpack,
     inverse,
     multiply,
     symplectic_product,
@@ -155,21 +158,39 @@ class StabilizerSet:
             yield PauliVec(self.d, self.n, tuple(v[: self.n]), tuple(v[self.n :]))
 
 
-def _candidates_on(d: int, n: int, registers: Sequence[int]) -> Iterable[PauliVec]:
-    """All nontrivial operators supported inside the given registers, in
-    ascending canonical-key order."""
+def _candidates_on(d: int, n: int, registers: Sequence[int]) -> Iterable[_Planes]:
+    """All nontrivial operators supported inside the given registers, as
+    bit-planes, in ascending canonical-key order.
+
+    The key's base-d^2 digit of a site is x + d*z and the first register is
+    least significant.  Each half of the registers is tabulated once (table
+    index = that half's key) and each high-half entry is combined with the
+    whole low-half table in turn, so memory stays near the square root of
+    the candidate count and each candidate costs four ORs."""
     sites = sorted(registers)
-    dd = d * d
-    for v in range(1, dd ** len(sites)):
-        x = [0] * n
-        z = [0] * n
-        rest = v
-        for site in sites:
-            digit = rest % dd
-            rest //= dd
-            x[site] = digit % d
-            z[site] = digit // d
-        yield PauliVec(d, n, tuple(x), tuple(z))
+
+    def table(part: Sequence[int]) -> list[_Planes]:
+        rows = [_Planes(0, 0, 0, 0)]
+        for site in part:
+            bit = 1 << site
+            rows = [
+                _Planes(
+                    x1 | bit * (xe == 1),
+                    x2 | bit * (xe == 2),
+                    z1 | bit * (ze == 1),
+                    z2 | bit * (ze == 2),
+                )
+                for ze in range(d)
+                for xe in range(d)
+                for x1, x2, z1, z2 in rows
+            ]
+        return rows
+
+    half = len(sites) // 2
+    low = table(sites[:half])
+    for i, (hx1, hx2, hz1, hz2) in enumerate(table(sites[half:])):
+        for x1, x2, z1, z2 in low if i else low[1:]:
+            yield _Planes(hx1 | x1, hx2 | x2, hz1 | z1, hz2 | z2)
 
 
 def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]:
@@ -179,7 +200,9 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
 
     Candidates are scanned once in ascending canonical-key order; a rejected
     candidate can never become addable later (constraints only accumulate),
-    so the single pass reaches the fixpoint.
+    so the single pass reaches the fixpoint.  Candidates stay packed: only
+    one that commutes with every generator and earlier pick becomes a
+    PauliVec for the membership test.
     """
     registers = frozenset(discard)
     if not registers:
@@ -191,15 +214,17 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
         )
     if any(not 0 <= r < s.n for r in registers):
         raise ValueError("discard register out of range")
+    d, n = s.d, s.n
     added: list[PauliVec] = []
     current = s
-    for cand in _candidates_on(s.d, s.n, sorted(registers)):
-        if not current.in_normalizer(cand):
+    for cand in _candidates_on(d, n, registers):
+        if any(_product(cand, g, d) for g in current.gens):
             continue
-        if current.is_member(cand):
+        op = PauliVec(d, n, _unpack(n, cand.x1, cand.x2), _unpack(n, cand.z1, cand.z2))
+        if current.is_member(op):
             continue
-        current = current.extend(cand)
-        added.append(cand)
+        current = current.extend(op)
+        added.append(op)
     return added
 
 

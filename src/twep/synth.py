@@ -90,12 +90,12 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
     if not complement:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
     x, z, _, _ = _kernels.best_splitter(
-        [g.x_bits for g in s.gens],
-        [g.z_bits for g in s.gens],
-        [c.x_bits for c in complement],
-        [c.z_bits for c in complement],
-        [e.x_bits for e in errors.members],
-        [e.z_bits for e in errors.members],
+        [g.x1 for g in s.gens],
+        [g.z1 for g in s.gens],
+        [c.x1 for c in complement],
+        [c.z1 for c in complement],
+        [e.x1 for e in errors.members],
+        [e.z1 for e in errors.members],
         s.n,
     )
     return PauliVec(

@@ -22,7 +22,7 @@ from twep.engine import (
 from twep.errorspace import base_errors, enumerate_errors, filter_by_outcome
 from twep.pauli import PauliVec, inverse, multiply, parse, symplectic_product, weight
 from twep.protocols import hamming_family, nine_pair, qutrit_four, six_pair
-from twep.stabilizer import StabilizerSet
+from twep.stabilizer import DISCARD_MAX_REGISTERS, SizeLimitError, StabilizerSet
 
 
 def _random_pauli(rng: random.Random, d: int, n: int) -> PauliVec:
@@ -43,6 +43,73 @@ def random_stabilizer(rng: random.Random, d: int, n: int, rank: int) -> Stabiliz
         if s.in_normalizer(cand) and not s.is_member(cand):
             s = s.extend(cand)
     return s
+
+
+def symplectic_product_reference(p: PauliVec, q: PauliVec) -> int:
+    """The tuple formula: sum of px*qz - pz*qx over the sites, mod d."""
+    return sum(px * qz - pz * qx for px, pz, qx, qz in zip(p.x, p.z, q.x, q.z)) % p.d
+
+
+def bits_reference(vector, value: int = 1) -> int:
+    """Bit i set iff vector[i] == value; for d=2 this is sum(b << i)."""
+    return sum((b == value) << i for i, b in enumerate(vector))
+
+
+def render_reference(p: PauliVec) -> str:
+    """One letter (d=2) or comma-separated token (d=3) per site, joined."""
+    if p.d == 2:
+        return "".join("IXZY"[a + 2 * b] for a, b in zip(p.x, p.z))
+
+    def token(a: int, b: int) -> str:
+        x = "X" + "2" * (a == 2) if a else ""
+        z = "Z" + "2" * (b == 2) if b else ""
+        return x + z or "I"
+
+    return ",".join(token(a, b) for a, b in zip(p.x, p.z))
+
+
+def canonical_key_reference(p: PauliVec) -> int:
+    """Base-d^2 digits x + d*z, site 0 least significant."""
+    return sum((a + p.d * b) * (p.d * p.d) ** i for i, (a, b) in enumerate(zip(p.x, p.z)))
+
+
+def weight_reference(p: PauliVec) -> int:
+    return sum(1 for a, b in zip(p.x, p.z) if a or b)
+
+
+def complete_discard_reference(s: StabilizerSet, discard) -> list[PauliVec]:
+    """Slow oracle for ``stabilizer.complete_discard``: build every candidate
+    supported inside the registers, in ascending canonical-key order, and
+    keep each one that commutes with the stabilizer grown so far and lies
+    outside it."""
+    registers = frozenset(discard)
+    if not registers:
+        raise ValueError("discard set must be nonempty")
+    if len(registers) > DISCARD_MAX_REGISTERS:
+        raise SizeLimitError(
+            f"discard completion enumerates over {len(registers)} registers "
+            f"(bound {DISCARD_MAX_REGISTERS})"
+        )
+    if any(not 0 <= r < s.n for r in registers):
+        raise ValueError("discard register out of range")
+    d, n = s.d, s.n
+    sites = sorted(registers)
+    added = []
+    for digits in product(range(d * d), repeat=len(sites)):
+        x = [0] * n
+        z = [0] * n
+        # The last site varies fastest in ``product``; the canonical key
+        # makes the first site least significant, so read the digits reversed.
+        for site, digit in zip(sites, reversed(digits)):
+            x[site] = digit % d
+            z[site] = digit // d
+        cand = PauliVec(d, n, tuple(x), tuple(z))
+        if cand.is_identity:
+            continue
+        if s.in_normalizer(cand) and not s.is_member(cand):
+            s = s.extend(cand)
+            added.append(cand)
+    return added
 
 
 def check_symplectic_algebra(cases: int = 10_000, seed: int = 20240305) -> str:

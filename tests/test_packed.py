@@ -1,0 +1,139 @@
+"""The packed operator arithmetic against the tuple formulas it replaced,
+kept in ``prop_checks`` as slow oracles."""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import prop_checks
+from prop_checks import complete_discard_reference, random_stabilizer
+from twep import engine
+from twep.engine import verify
+from twep.pauli import (
+    DimensionMismatchError,
+    PauliVec,
+    canonical_key,
+    parse,
+    render,
+    symplectic_product,
+    weight,
+)
+from twep.protocols import get, names
+from twep.stabilizer import SizeLimitError, StabilizerSet, complete_discard
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators of one shape, d in {2, 3} and n up to 130, so the
+    planes run past 64 bits."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 130))
+
+    def vector():
+        # Dense like wide generators, or kept on a few sites like errors.
+        digits = draw(st.integers(0, d**n - 1))
+        keep = draw(st.none() | st.sets(st.integers(0, n - 1), max_size=3))
+        return tuple(
+            digits // d**i % d if keep is None or i in keep else 0 for i in range(n)
+        )
+
+    return PauliVec(d, n, vector(), vector()), PauliVec(d, n, vector(), vector())
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_pairs())
+def test_packed_arithmetic_matches_the_tuple_formulas(pair):
+    p, q = pair
+    assert symplectic_product(p, q) == prop_checks.symplectic_product_reference(p, q)
+    assert symplectic_product(q, p) == prop_checks.symplectic_product_reference(q, p)
+    for v in pair:
+        planes = (v.x1, v.x2, v.z1, v.z2)
+        assert planes == (
+            prop_checks.bits_reference(v.x, 1),
+            prop_checks.bits_reference(v.x, 2),
+            prop_checks.bits_reference(v.z, 1),
+            prop_checks.bits_reference(v.z, 2),
+        )
+        assert render(v) == prop_checks.render_reference(v)
+        assert parse(render(v), v.d) == v
+        assert canonical_key(v) == prop_checks.canonical_key_reference(v)
+        assert weight(v) == prop_checks.weight_reference(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 130), data=st.data())
+def test_construction_rejects_what_it_rejected_before(d, n, data):
+    """Messages and types of the tuple-validating constructor."""
+    site = data.draw(st.integers(0, n - 1))
+    good = (0,) * n
+    for bad in (d, -1, d + 254):
+        vector = good[:site] + (bad,) + good[site + 1 :]
+        for x, z in ((vector, good), (good, vector)):
+            with pytest.raises(ValueError, match=r"^exponents must lie in \[0, d\)$"):
+                PauliVec(d, n, x, z)
+    for x, z in ((good[1:], good), (good, good + (0,))):
+        with pytest.raises(ValueError, match="^exponent vectors must have length n$"):
+            PauliVec(d, n, x, z)
+    with pytest.raises(ValueError, match="^unsupported register dimension 5$"):
+        PauliVec(5, n, good, good)
+    with pytest.raises(DimensionMismatchError):
+        symplectic_product(PauliVec(d, n, good, good), PauliVec(5 - d, n, good, good))
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "d, n", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 6)]
+)
+def test_complete_discard_matches_the_candidate_scan(d, n):
+    """Seeded random stabilizers of every rank, every nonempty register set
+    of at most three registers."""
+    rng = random.Random(f"discard-{d}-{n}")
+    for rank in range(n + 1):
+        s = random_stabilizer(rng, d, n, rank)
+        for size in range(1, min(3, n) + 1):
+            for registers in combinations(range(n), size):
+                got = complete_discard(s, registers)
+                assert got == complete_discard_reference(s, registers)
+
+
+def test_complete_discard_matches_on_the_registry_discards(monkeypatch):
+    calls = []
+    original = engine.complete_discard
+
+    def recording(s, registers):
+        calls.append((s, registers))
+        return original(s, registers)
+
+    monkeypatch.setattr(engine, "complete_discard", recording)
+    for name in names():
+        verify(get(name).strategy)
+    assert calls
+    for s, registers in calls:
+        assert complete_discard(s, registers) == complete_discard_reference(
+            s, registers
+        )
+
+
+@pytest.mark.parametrize(
+    "n, registers",
+    [(4, ()), (12, range(10)), (4, (0, 4)), (4, (-1,)), (12, range(-1, 9))],
+    ids=["empty", "oversized", "past-n", "negative", "oversized-and-negative"],
+)
+def test_complete_discard_rejects_like_the_candidate_scan(n, registers):
+    for d in (2, 3):
+        s = StabilizerSet(d, n)
+        got = _raised(complete_discard, s, registers)
+        assert isinstance(got, tuple)
+        assert got == _raised(complete_discard_reference, s, registers)
+    assert _raised(complete_discard, StabilizerSet(2, 12), range(10))[0] is SizeLimitError

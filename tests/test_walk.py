@@ -24,8 +24,8 @@ from twep.engine import (
     Strategy,
     verify,
 )
-from twep.errorspace import DEFAULT_CAP, count_errors
-from twep.pauli import PauliVec, canonical_key, multiply, parse
+from twep.errorspace import DEFAULT_CAP, count_errors, enumerate_errors
+from twep.pauli import PauliVec, canonical_key, multiply, parse, symplectic_product
 from twep.protocols import get, hamming_family, names, nine_pair
 from twep.stabilizer import StabilizerSet, normalizer_complement_basis
 from twep.synth import greedy_step_stats, greedy_strategy
@@ -50,13 +50,17 @@ def assert_walk_matches_oracle(strategy: Strategy):
 
 
 def branching(n, t, first, after):
-    """Measure ``first``, then answer after[outcome], then Finish."""
+    """Measure ``first``, then answer after[outcome] (raise it if it is an
+    exception), then Finish."""
 
     def next_step(history: History):
         if not history.entries:
             return Measure(parse(first, 2))
         if len(history.entries) == 1 and not history.discards:
-            return after[history.entries[0][1]]
+            answer = after[history.entries[0][1]]
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
         return Finish()
 
     return Strategy(d=2, n=n, t=t, k_claimed=0, next=next_step)
@@ -151,10 +155,10 @@ def test_broken_strategies(case):
 @pytest.mark.parametrize(
     "after, raised",
     [
-        ((Discard(frozenset({7})), "bogus"), ValueError),
+        ((RuntimeError("strategy fault"), "bogus"), RuntimeError),
         (("bogus", Discard(frozenset({7}))), TypeError),
     ],
-    ids=["discard-fault-first", "type-fault-first"],
+    ids=["raise-fault-first", "type-fault-first"],
 )
 def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
     """The identity (first error) takes outcome 0, so the fault there is the
@@ -166,15 +170,41 @@ def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
 
 
 @pytest.mark.parametrize(
-    "step",
-    [Measure(parse("XX", 2)), Discard(frozenset(range(10)))],
-    ids=["wrong-n-operator", "oversized-discard"],
+    "step, reason",
+    [
+        (Measure(parse("XX", 2)), "IllegalMeasurement: XX acts on d=2, n=2"),
+        (Measure(parse("X,X,I,I,I,I,I,I,I,I", 3)), "IllegalMeasurement"),
+        (Discard(frozenset(range(10))), "IllegalDiscard: discard of 10 registers"),
+        (Discard(frozenset()), "IllegalDiscard: discard of no registers"),
+        (Discard(frozenset({3, 10, -1})), "IllegalDiscard: discard registers [-1, 10]"),
+    ],
+    ids=[
+        "wrong-n-operator",
+        "wrong-d-operator",
+        "oversized-discard",
+        "empty-discard",
+        "out-of-range-discard",
+    ],
 )
-def test_library_errors_propagate_like_the_oracle(step):
+def test_strategy_faults_become_counterexamples_like_the_oracle(step, reason):
+    """Every error fails with the step's fault; nothing propagates."""
     strategy = scripted(2, 10, 1, [step])
-    walked = _result(verify, strategy)
-    assert isinstance(walked, tuple)
-    assert walked == _result(prop_checks.verify_by_simulation, strategy)
+    report = assert_walk_matches_oracle(strategy)
+    assert len(report.counterexamples) == report.errors_checked
+    assert all(c.reason.startswith(reason) for c in report.counterexamples)
+    assert all(c.transcript is None for c in report.counterexamples)
+
+
+def test_a_strategy_fault_fails_exactly_its_branch():
+    strategy = branching(6, 1, "ZZIIII", (Finish(), Discard(frozenset({6}))))
+    report = assert_walk_matches_oracle(strategy)
+    failed = [c.hidden for c in report.counterexamples if "IllegalDiscard" in c.reason]
+    branch = [
+        e
+        for e in enumerate_errors(6, 1).members
+        if symplectic_product(parse("ZZIIII", 2), e) == 1
+    ]
+    assert failed == branch
 
 
 def test_each_history_is_consulted_once():
