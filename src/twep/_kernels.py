@@ -1,9 +1,13 @@
 """The exact-arithmetic kernels: Z_d row reduction, the minimum-weight
 search and the best-splitter scan.
 
-Row reduction works on tuples over Z_d and serves both dimensions, as does
-the minimum-weight search built on it.  The best-splitter scan assumes d=2
-and takes operators packed as two integers (x bits, z bits), register i at
+Row reduction works on vectors packed into bit-planes, as operators are
+(see ``pauli``): a vector over Z_d is a pair of integers (one, two), bit c
+of ``one`` (``two``) set iff column c holds 1 (2); for d=2 ``two`` is 0.
+One reducer, ``Echelon``, serves both dimensions: for d=2 eliminating a
+column is one XOR, for d=3 one two-plane add.  The minimum-weight search
+reduces its syndrome rows with it.  The best-splitter scan assumes d=2 and
+takes operators packed as two integers (x bits, z bits), register i at
 bit i.
 
 The splitter scan is transposed: each complement basis vector becomes one
@@ -17,7 +21,7 @@ XORs, and candidates are swept in blocks with C-level ``map`` calls.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import compress
 
 
 def kernel_backend() -> str:
@@ -25,71 +29,127 @@ def kernel_backend() -> str:
     return "python"
 
 
-# A row is a tuple over Z_d; an operator's row is x + z.  Echelon state is a
-# tuple of (pivot column, normalized row) pairs sorted by pivot.
-_Rows = tuple[tuple[int, tuple[int, ...]], ...]
+def add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """Sum over Z_3 of the packed vectors (a1, a2) and (b1, b2): a column
+    sums to 1 from 1+0, 0+1 or 2+2 and to 2 from 2+0, 0+2 or 1+1."""
+    a0 = ~(a1 | a2)
+    b0 = ~(b1 | b2)
+    return a1 & b0 | b1 & a0 | a2 & b2, a2 & b0 | b2 & a0 | a1 & b1
 
 
-def _reduce(vec: tuple[int, ...], rows: _Rows, d: int) -> tuple[int, ...]:
-    """Eliminate vec at every pivot column; the residue is the canonical
-    coset representative of vec modulo the row space."""
-    v = list(vec)
-    for pivot, row in rows:
-        coef = v[pivot]
-        if coef:
-            for i in range(pivot, len(v)):
-                v[i] = (v[i] - coef * row[i]) % d
-    return tuple(v)
+class Echelon:
+    """Packed rows over Z_d in reduced row echelon form.
+
+    Each row is a (pivot bit, one, two) triple: it holds 1 at its pivot,
+    its lowest nonzero column, and 0 at every other row's pivot, so a
+    vector is reduced by clearing each pivot column it has, in any order.
+    A state is immutable; ``insert`` returns a new one.
+    """
+
+    __slots__ = ("d", "rows")
+
+    def __init__(self, d: int, rows: tuple[tuple[int, int, int], ...] = ()):
+        self.d = d
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, one: int, two: int = 0) -> tuple[int, int]:
+        """The residue of a vector: the one member of its coset modulo the
+        row space that is 0 at every pivot column."""
+        if self.d == 2:
+            for pivot, row, _ in self.rows:
+                if one & pivot:
+                    one ^= row
+            return one, 0
+        for pivot, r1, r2 in self.rows:
+            if one & pivot:  # subtract the row once: add its negation
+                one, two = add3(one, two, r2, r1)
+            elif two & pivot:  # subtract it twice: add it once
+                one, two = add3(one, two, r1, r2)
+        return one, two
+
+    def insert(self, one: int, two: int = 0) -> Echelon | None:
+        """The state with the vector added as a row; None if the vector is
+        already in the row space."""
+        one, two = self.reduce(one, two)
+        support = one | two
+        if not support:
+            return None
+        pivot = support & -support
+        if two & pivot:  # scale by 2 (negate) so that the pivot holds 1
+            one, two = two, one
+        # Clear the new pivot column from the other rows; their pivots stay.
+        rows = []
+        for p, r1, r2 in self.rows:
+            if r1 & pivot:
+                r1, r2 = (r1 ^ one, 0) if self.d == 2 else add3(r1, r2, two, one)
+            elif r2 & pivot:
+                r1, r2 = add3(r1, r2, one, two)
+            rows.append((p, r1, r2))
+        rows.append((pivot, one, two))
+        return Echelon(self.d, tuple(rows))
 
 
-def _insert(rows: _Rows, vec: tuple[int, ...], d: int) -> _Rows | None:
-    """Add vec to the echelon state; None if it is already in the span."""
-    residue = _reduce(vec, rows, d)
-    pivot = next((i for i, v in enumerate(residue) if v), None)
-    if pivot is None:
-        return None
-    inv = pow(residue[pivot], -1, d)
-    normalized = tuple(v * inv % d for v in residue)
-    merged = sorted(rows + ((pivot, normalized),))
-    return tuple(merged)
+def _columns(planes: list[int], n: int) -> list[int]:
+    """Transpose: entry i has bit j set iff bit i of planes[j] is set."""
+    bits = [f"{plane:0{n}b}"[::-1] for plane in planes]
+    return [int("".join(column)[::-1], 2) for column in zip(*bits)]
 
 
 def min_weight_excluding_span(
-    span_x: list[tuple[int, ...]],
-    span_z: list[tuple[int, ...]],
-    comp_x: list[tuple[int, ...]],
-    comp_z: list[tuple[int, ...]],
+    span_x: list[tuple[int, int]],
+    span_z: list[tuple[int, int]],
+    comp_x: list[tuple[int, int]],
+    comp_z: list[tuple[int, int]],
+    n: int,
     d: int,
 ) -> int:
     """Minimum weight over {c + s} with c a nonzero combination of the
     complement basis and s any combination of the span basis, over Z_d.
 
-    The span must be a stabilizer's generators and span plus complement a
-    basis of its normalizer; the scan then covers exactly the normalizer
-    minus the stabilizer.  Those are the operators with zero syndrome
-    against the span and nonzero syndrome against the complement, since the
-    stabilizer is the normalizer's symplectic complement.  Syndromes are
-    linear in an operator's site components, so a support carries such an
-    operator iff the echelon form of its sites' syndrome rows, span columns
-    first, has a pivot among the complement columns.  Supports are searched
-    in order of size.
+    Each basis operator enters as its x and z components, each a pair of
+    bit-planes (value 1, value 2), register i at bit i.  The span must be a
+    stabilizer's generators and span plus complement a basis of its
+    normalizer; the scan then covers exactly the normalizer minus the
+    stabilizer.  Those are the operators with zero syndrome against the
+    span and nonzero syndrome against the complement, since the stabilizer
+    is the normalizer's symplectic complement.  Syndromes are linear in an
+    operator's site components, so a support carries such an operator iff
+    the echelon form of its sites' syndrome rows, span columns lowest, has
+    a pivot among the complement columns.  Supports are searched in order
+    of size, depth first, so each support extends its prefix's echelon
+    form by its last site's two rows.
     """
     if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
-    n = len(comp_x[0])
     xs, zs = span_x + comp_x, span_z + comp_z
-    # Syndrome rows of X and Z on each site: <X_i, b> = b.z[i], <Z_i, b> = -b.x[i].
-    site_rows = [
-        (tuple(z[i] for z in zs), tuple(-x[i] % d for x in xs)) for i in range(n)
-    ]
+    x1, x2 = _columns([x for x, _ in xs], n), _columns([x for _, x in xs], n)
+    z1, z2 = _columns([z for z, _ in zs], n), _columns([z for _, z in zs], n)
+    # Syndrome rows of X and Z on each site, column j for basis operator j:
+    # <X_i, b> = b.z[i] and <Z_i, b> = -b.x[i], taken as b.x[i], since
+    # scaling a row leaves the row space as it is.
+    site_rows = list(zip(z1, z2, x1, x2))
+    span = (1 << len(span_x)) - 1
+
+    def found(start: int, left: int, rows: Echelon) -> bool:
+        """Some support of ``left`` more sites from ``start`` on completes
+        one with a pivot among the complement columns."""
+        for i in range(start, n - left + 1):
+            xz1, xz2, zx1, zx2 = site_rows[i]
+            grown = rows.insert(xz1, xz2) or rows
+            grown = grown.insert(zx1, zx2) or grown
+            if left > 1:
+                if found(i + 1, left - 1, grown):
+                    return True
+            elif any(pivot & ~span for pivot, _, _ in grown.rows):
+                return True
+        return False
+
     for w in range(1, n):
-        for support in combinations(range(n), w):
-            rows: _Rows = ()
-            for i in support:
-                for vec in site_rows[i]:
-                    rows = _insert(rows, vec, d) or rows
-            if any(pivot >= len(span_x) for pivot, _ in rows):
-                return w
+        if found(0, w, Echelon(d)):
+            return w
     # The scanned set is nonempty and nothing is heavier than n.
     return n
 

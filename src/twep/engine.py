@@ -18,10 +18,10 @@ along the operators it adds, and each Finish classifies its errors into
 cosets once.  ``simulate`` runs one error at a time; it serves single runs
 and is the oracle the tests compare the walk against.  A report passes
 only if every error ends with a consistent correction and enough certified
-pairs.  A step the strategy may not take (a measurement that is off the
-protocol's registers, anticommuting or redundant; a discard of no, too many
-or nonexistent registers) is a ProtocolError, and so a counterexample for
-every error that reaches it, in both.
+pairs.  A step the strategy may not take (a measurement that is not a
+PauliVec, off the protocol's registers, anticommuting or redundant; a
+discard of no, too many or nonexistent registers) is a ProtocolError, and
+so a counterexample for every error that reaches it, in both.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class ProtocolError(Exception):
 
 
 class IllegalMeasurement(ProtocolError):
-    """Measured operator anticommutes with an earlier one, or does not act
-    on the protocol's registers."""
+    """Measured operator anticommutes with an earlier one, does not act on
+    the protocol's registers, or is not a PauliVec."""
 
 
 class RedundantMeasurement(ProtocolError):
@@ -219,11 +219,14 @@ def generic_correction(
     return partition.representatives[0]
 
 
-def _check_step(step: Step, s: StabilizerSet) -> None:
+def _check_step(step: Step, s: StabilizerSet) -> Optional[StabilizerSet]:
     """Raise the ProtocolError a Measure or Discard step commits against the
-    stabilizer s, before the step runs; other steps pass unchecked."""
+    stabilizer s, before the step runs; other steps pass unchecked.  A legal
+    Measure returns s grown by its operator, which is reduced only once."""
     if isinstance(step, Measure):
         op = step.op
+        if not isinstance(op, PauliVec):
+            raise IllegalMeasurement(f"{op!r} is not a PauliVec")
         if op.d != s.d or op.n != s.n:
             raise IllegalMeasurement(
                 f"{render(op)} acts on d={op.d}, n={op.n}; "
@@ -233,10 +236,12 @@ def _check_step(step: Step, s: StabilizerSet) -> None:
             raise IllegalMeasurement(
                 f"{render(op)} anticommutes with an earlier measurement"
             )
-        if s.is_member(op):
+        grown = s._grown(op)
+        if grown is None:
             raise RedundantMeasurement(
                 f"{render(op)} is already determined by earlier measurements"
             )
+        return grown
     elif isinstance(step, Discard):
         registers = frozenset(step.registers)
         if not registers:
@@ -269,12 +274,12 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
                 f"strategy exceeded {2 * strategy.n} consultations"
             )
         step = strategy.next(history)
-        _check_step(step, s)
+        grown = _check_step(step, s)
         if isinstance(step, Measure):
             op = step.op
             outcome = symplectic_product(op, hidden)
             history = history.with_entry(op, outcome)
-            s = s.extend(op)
+            s = grown
         elif isinstance(step, Discard):
             for op in complete_discard(s, step.registers):
                 outcome = symplectic_product(op, hidden)
@@ -301,7 +306,8 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
     errors that reach it and the consultations spent on its path.  The
     strategy is consulted once per node, and the checks ``simulate`` makes
     for one error run once per node for all of them.  Discard completions
-    are memoized on (stabilizer generators, registers) for the call.
+    are memoized on (stabilizer generators, registers) for the call,
+    together with the stabilizer they grow.
     Nodes are expanded in the order the one-error-at-a-time loop first
     reaches them (least first error, then depth), so a fault that is not a
     ProtocolError propagates exactly where that loop would raise it.
@@ -331,14 +337,18 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
             if consultations > 2 * n:
                 raise NonTerminationError(f"strategy exceeded {2 * n} consultations")
             step = strategy.next(history)
-            _check_step(step, s)
+            grown = _check_step(step, s)
             if isinstance(step, Measure):
                 added = [step.op]
             elif isinstance(step, Discard):
                 key = (s.gens, frozenset(step.registers))
                 if key not in completions:
-                    completions[key] = complete_discard(s, key[1])
-                added = completions[key]
+                    added = complete_discard(s, key[1])
+                    grown = s
+                    for op in added:
+                        grown = grown.extend(op)
+                    completions[key] = added, grown
+                added, grown = completions[key]
             elif isinstance(step, Finish):
                 survivors = ErrorSet(d, n, tuple(members[i] for i in reached))
                 partition = coset_classes(survivors, s)
@@ -380,11 +390,10 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
                 for h, idx in branches
                 for outcome, part in split(op, idx)
             ]
-            s = s.extend(op)
         if isinstance(step, Discard):
             branches = [(h.with_discard(step.registers), idx) for h, idx in branches]
         for h, idx in branches:
-            heapq.heappush(frontier, (idx[0], consultations, h, s, idx))
+            heapq.heappush(frontier, (idx[0], consultations, h, grown, idx))
 
     counterexamples = tuple(c for c in found if c is not None)
     k_min = min(k_values) if k_values else -1

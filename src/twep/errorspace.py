@@ -122,8 +122,8 @@ def coset_classes(errors: ErrorSet, s: StabilizerSet) -> CosetPartition:
     every syndrome and act identically on the protected space."""
     if errors.d != s.d or errors.n != s.n:
         raise ValueError("error set does not match the stabilizer")
-    buckets: dict[tuple[int, ...], list[PauliVec]] = {}
-    order: list[tuple[int, ...]] = []
+    buckets: dict[int, list[PauliVec]] = {}
+    order: list[int] = []
     for e in errors.members:
         key = s.residue(e)
         if key not in buckets:

@@ -4,7 +4,9 @@ A stabilizer is an ordered list of mutually commuting, independent phaseless
 Pauli operators.  All the questions this module answers (rank, membership,
 normalizer tests, syndromes, logical count) reduce to exact Gaussian
 elimination on the (x|z) matrix over the field Z_d; no floating point
-appears anywhere.
+appears anywhere.  The matrix rows are packed like the operators: an
+operator's row is its bit-planes over 2n columns, x at bit i and z at bit
+n + i, and ``_kernels.Echelon`` reduces them for both dimensions.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import product as _iter_product
 from typing import Iterable, Sequence
 
 from . import _kernels
-from ._kernels import _Rows, _insert, _reduce
+from ._kernels import Echelon, add3
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
@@ -35,8 +37,17 @@ class SizeLimitError(ValueError):
     """An exhaustive enumeration was requested beyond its configured bound."""
 
 
-def _vector(p: PauliVec) -> tuple[int, ...]:
-    return p.x + p.z
+def _packed(p: PauliVec) -> tuple[int, int]:
+    """The operator's row: its value-1 and value-2 planes over 2n columns."""
+    return p.x1 | p.z1 << p.n, p.x2 | p.z2 << p.n
+
+
+def _operator(d: int, n: int, one: int, two: int) -> PauliVec:
+    """The operator whose row is (one, two); inverse of ``_packed``."""
+    low = (1 << n) - 1
+    return PauliVec(
+        d, n, _unpack(n, one & low, two & low), _unpack(n, one >> n, two >> n)
+    )
 
 
 def rank(gens: Sequence[PauliVec]) -> int:
@@ -44,13 +55,11 @@ def rank(gens: Sequence[PauliVec]) -> int:
     if not gens:
         return 0
     d, n = gens[0].d, gens[0].n
-    rows: _Rows = ()
+    rows = Echelon(d)
     for g in gens:
         if g.d != d or g.n != n:
             raise DimensionMismatchError("generators disagree on d or n")
-        updated = _insert(rows, _vector(g), d)
-        if updated is not None:
-            rows = updated
+        rows = rows.insert(*_packed(g)) or rows
     return len(rows)
 
 
@@ -84,7 +93,7 @@ class StabilizerSet:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", ())
-        object.__setattr__(self, "_rows", ())
+        object.__setattr__(self, "_rows", Echelon(d))
         for g in gens:
             grown = self.extend(g)
             object.__setattr__(self, "gens", grown.gens)
@@ -108,9 +117,18 @@ class StabilizerSet:
         self._check(p)
         if not self.in_normalizer(p):
             raise ValueError(f"{p} does not commute with the stabilizer")
-        rows = _insert(self._rows, _vector(p), self.d)
-        if rows is None:
+        new = self._grown(p)
+        if new is None:
             raise ValueError(f"{p} is dependent on the stabilizer")
+        return new
+
+    def _grown(self, p: PauliVec) -> StabilizerSet | None:
+        """The set with p appended, or None if p is in the span; p must have
+        this set's shape and commute with it.  Reduces p once, so callers
+        that test membership before extending share this one reduction."""
+        rows = self._rows.insert(*_packed(p))
+        if rows is None:
+            return None
         new = object.__new__(StabilizerSet)
         object.__setattr__(new, "d", self.d)
         object.__setattr__(new, "n", self.n)
@@ -122,14 +140,17 @@ class StabilizerSet:
     def rank(self) -> int:
         return len(self._rows)
 
-    def residue(self, p: PauliVec) -> tuple[int, ...]:
-        """Canonical representative of p's coset modulo the row space."""
+    def residue(self, p: PauliVec) -> int:
+        """Canonical representative of p's coset modulo the row space,
+        packed into one integer: bit c (bit 2n + c) set iff column c of the
+        representative holds 1 (2)."""
         self._check(p)
-        return _reduce(_vector(p), self._rows, self.d)
+        one, two = self._rows.reduce(*_packed(p))
+        return one | two << 2 * self.n
 
     def is_member(self, p: PauliVec) -> bool:
         """Phaseless membership in the generated group."""
-        return not any(self.residue(p))
+        return not self.residue(p)
 
     def in_normalizer(self, p: PauliVec) -> bool:
         """True iff p commutes with every generator."""
@@ -147,15 +168,15 @@ class StabilizerSet:
 
     def span_elements(self) -> Iterable[PauliVec]:
         """Every element of the generated group (d^rank of them)."""
-        base = [_vector(g) for g in self.gens]
-        size = 2 * self.n
+        base = [_packed(g) for g in self.gens]
         for coeffs in _iter_product(range(self.d), repeat=len(base)):
-            v = [0] * size
-            for c, row in zip(coeffs, base):
+            one = two = 0
+            for c, (r1, r2) in zip(coeffs, base):
+                if c == 2:  # twice a row is its negation: swap its planes
+                    r1, r2 = r2, r1
                 if c:
-                    for i in range(size):
-                        v[i] = (v[i] + c * row[i]) % self.d
-            yield PauliVec(self.d, self.n, tuple(v[: self.n]), tuple(v[self.n :]))
+                    one, two = (one ^ r1, 0) if self.d == 2 else add3(one, two, r1, r2)
+            yield _operator(self.d, self.n, one, two)
 
 
 def _candidates_on(d: int, n: int, registers: Sequence[int]) -> Iterable[_Planes]:
@@ -221,10 +242,10 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
         if any(_product(cand, g, d) for g in current.gens):
             continue
         op = PauliVec(d, n, _unpack(n, cand.x1, cand.x2), _unpack(n, cand.z1, cand.z2))
-        if current.is_member(op):
-            continue
-        current = current.extend(op)
-        added.append(op)
+        grown = current._grown(op)
+        if grown is not None:
+            current = grown
+            added.append(op)
     return added
 
 
@@ -241,53 +262,54 @@ def code_corrects(s: StabilizerSet, errors) -> bool:
     return True
 
 
-def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, ...]]:
+def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
     """Basis of the space of symplectic vectors commuting with every
-    generator (the normalizer, as a Z_d space of dimension 2n - rank)."""
+    generator (the normalizer, as a Z_d space of dimension 2n - rank),
+    packed: one vector per free column of the constraint rows, ascending."""
     d, n = s.d, s.n
-    width = 2 * n
     # Row for generator g maps u=(x|z) to <g,u> = g.x . u.z - g.z . u.x.
-    rows: _Rows = ()
+    rows = Echelon(d)
     for g in s.gens:
-        row = tuple((-v) % d for v in g.z) + g.x
-        updated = _insert(rows, row, d)
+        # -g.z is g.z for d=2; for d=3 negation swaps the planes.
+        z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
+        rows = rows.insert(z1 | g.x1 << n, z2 | g.x2 << n) or rows
+    # The rows are fully reduced, so back-substitution reads directly: the
+    # vector of free column f holds 1 there and -row[f] at each row's pivot.
+    pivots = 0
+    for pivot, _, _ in rows.rows:
+        pivots |= pivot
+    basis = []
+    for free in range(2 * n):
+        bit = 1 << free
+        if bit & pivots:
+            continue
+        one, two = bit, 0
+        for pivot, r1, r2 in rows.rows:
+            if r2 & bit or r1 & bit and d == 2:  # -row[f] is 1
+                one |= pivot
+            elif r1 & bit:  # -1 is 2 for d=3
+                two |= pivot
+        basis.append((one, two))
+    return basis
+
+
+def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
+    """``normalizer_complement_basis``, as packed rows."""
+    rows = s._rows
+    complement = []
+    for one, two in _constraint_nullspace(s):
+        updated = rows.insert(one, two)
         if updated is not None:
             rows = updated
-    # Full reduction above each pivot so back-substitution reads directly.
-    reduced = []
-    for pivot, row in rows:
-        r = list(row)
-        for other_pivot, other in rows:
-            if other_pivot > pivot and r[other_pivot]:
-                coef = r[other_pivot]
-                for i in range(other_pivot, width):
-                    r[i] = (r[i] - coef * other[i]) % d
-        reduced.append((pivot, tuple(r)))
-    pivots = {p for p, _ in reduced}
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        v = [0] * width
-        v[free] = 1
-        for pivot, row in reduced:
-            v[pivot] = (-row[free]) % d
-        basis.append(tuple(v))
-    return basis
+            complement.append((one, two))
+    return complement
 
 
 def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:
     """Vectors extending the stabilizer's row space to a basis of the
     normalizer; combinations with a nonzero part here are exactly the
     normalizer elements outside the group."""
-    rows = s._rows
-    complement: list[PauliVec] = []
-    for vec in _constraint_nullspace(s):
-        updated = _insert(rows, vec, s.d)
-        if updated is not None:
-            rows = updated
-            complement.append(PauliVec(s.d, s.n, vec[: s.n], vec[s.n :]))
-    return complement
+    return [_operator(s.d, s.n, one, two) for one, two in _complement_rows(s)]
 
 
 def min_normalizer_weight(s: StabilizerSet) -> int:
@@ -297,13 +319,15 @@ def min_normalizer_weight(s: StabilizerSet) -> int:
         raise SizeLimitError(
             f"normalizer scan needs n <= {ENUMERATION_MAX_N}, got {s.n}"
         )
-    complement = normalizer_complement_basis(s)
+    complement = _complement_rows(s)
     if not complement:
         raise ValueError("normalizer equals the stabilizer; nothing to scan")
+    n, low = s.n, (1 << s.n) - 1
     return _kernels.min_weight_excluding_span(
-        [g.x for g in s.gens],
-        [g.z for g in s.gens],
-        [c.x for c in complement],
-        [c.z for c in complement],
+        [(g.x1, g.x2) for g in s.gens],
+        [(g.z1, g.z2) for g in s.gens],
+        [(one & low, two & low) for one, two in complement],
+        [(one >> n, two >> n) for one, two in complement],
+        n,
         s.d,
     )

@@ -5,7 +5,8 @@ small summary string on success."""
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
+from types import SimpleNamespace
 
 from twep.engine import (
     Counterexample,
@@ -110,6 +111,166 @@ def complete_discard_reference(s: StabilizerSet, discard) -> list[PauliVec]:
             s = s.extend(cand)
             added.append(cand)
     return added
+
+
+# The tuple row reduction that packed echelon rows replaced, kept verbatim
+# as the oracle for ``_kernels.Echelon`` and its callers.  A row is a tuple
+# over Z_d; an operator's row is x + z.  Echelon state is a tuple of (pivot
+# column, normalized row) pairs sorted by pivot.
+_Rows = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _reduce(vec: tuple[int, ...], rows: _Rows, d: int) -> tuple[int, ...]:
+    """Eliminate vec at every pivot column; the residue is the canonical
+    coset representative of vec modulo the row space."""
+    v = list(vec)
+    for pivot, row in rows:
+        coef = v[pivot]
+        if coef:
+            for i in range(pivot, len(v)):
+                v[i] = (v[i] - coef * row[i]) % d
+    return tuple(v)
+
+
+def _insert(rows: _Rows, vec: tuple[int, ...], d: int) -> _Rows | None:
+    """Add vec to the echelon state; None if it is already in the span."""
+    residue = _reduce(vec, rows, d)
+    pivot = next((i for i, v in enumerate(residue) if v), None)
+    if pivot is None:
+        return None
+    inv = pow(residue[pivot], -1, d)
+    normalized = tuple(v * inv % d for v in residue)
+    merged = sorted(rows + ((pivot, normalized),))
+    return tuple(merged)
+
+
+def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, ...]]:
+    """Basis of the space of symplectic vectors commuting with every
+    generator (the normalizer, as a Z_d space of dimension 2n - rank)."""
+    d, n = s.d, s.n
+    width = 2 * n
+    # Row for generator g maps u=(x|z) to <g,u> = g.x . u.z - g.z . u.x.
+    rows: _Rows = ()
+    for g in s.gens:
+        row = tuple((-v) % d for v in g.z) + g.x
+        updated = _insert(rows, row, d)
+        if updated is not None:
+            rows = updated
+    # Full reduction above each pivot so back-substitution reads directly.
+    reduced = []
+    for pivot, row in rows:
+        r = list(row)
+        for other_pivot, other in rows:
+            if other_pivot > pivot and r[other_pivot]:
+                coef = r[other_pivot]
+                for i in range(other_pivot, width):
+                    r[i] = (r[i] - coef * other[i]) % d
+        reduced.append((pivot, tuple(r)))
+    pivots = {p for p, _ in reduced}
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        v = [0] * width
+        v[free] = 1
+        for pivot, row in reduced:
+            v[pivot] = (-row[free]) % d
+        basis.append(tuple(v))
+    return basis
+
+
+def _min_weight_excluding_span(span_x, span_z, comp_x, comp_z, d: int) -> int:
+    """The tuple minimum-weight search: supports in order of size, each
+    with a fresh echelon form of its sites' syndrome rows."""
+    n = len(comp_x[0])
+    xs, zs = span_x + comp_x, span_z + comp_z
+    site_rows = [
+        (tuple(z[i] for z in zs), tuple(-x[i] % d for x in xs)) for i in range(n)
+    ]
+    for w in range(1, n):
+        for support in combinations(range(n), w):
+            rows: _Rows = ()
+            for i in support:
+                for vec in site_rows[i]:
+                    rows = _insert(rows, vec, d) or rows
+            if any(pivot >= len(span_x) for pivot, _ in rows):
+                return w
+    return n
+
+
+def rows_reference(gens) -> _Rows:
+    """The tuple echelon state of the operators' x + z rows."""
+    rows: _Rows = ()
+    for g in gens:
+        rows = _insert(rows, g.x + g.z, g.d) or rows
+    return rows
+
+
+def rank_reference(gens) -> int:
+    return len(rows_reference(gens))
+
+
+def residue_reference(s, p: PauliVec) -> tuple[int, ...]:
+    """The tuple residue of p modulo the row space of s.gens."""
+    return _reduce(p.x + p.z, rows_reference(s.gens), s.d)
+
+
+def is_member_reference(s, p: PauliVec) -> bool:
+    return not any(residue_reference(s, p))
+
+
+def coset_classes_reference(errors, s: StabilizerSet) -> list[list[PauliVec]]:
+    """Errors grouped by tuple residue, classes in order of first member."""
+    classes: dict[tuple[int, ...], list[PauliVec]] = {}
+    for e in errors:
+        classes.setdefault(residue_reference(s, e), []).append(e)
+    return list(classes.values())
+
+
+def normalizer_complement_basis_reference(s: StabilizerSet) -> list[PauliVec]:
+    rows = rows_reference(s.gens)
+    complement = []
+    for vec in _constraint_nullspace(s):
+        updated = _insert(rows, vec, s.d)
+        if updated is not None:
+            rows = updated
+            complement.append(PauliVec(s.d, s.n, vec[: s.n], vec[s.n :]))
+    return complement
+
+
+def min_normalizer_weight_reference(s: StabilizerSet) -> int:
+    complement = normalizer_complement_basis_reference(s)
+    return _min_weight_excluding_span(
+        [g.x for g in s.gens],
+        [g.z for g in s.gens],
+        [c.x for c in complement],
+        [c.z for c in complement],
+        s.d,
+    )
+
+
+def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:
+    """A combination of ``terms`` random vectors of the tuple normalizer
+    basis of s (anything with d, n and gens), with random coefficients: an
+    operator commuting with s, often outside it."""
+    basis = _constraint_nullspace(s)
+    v = [0] * (2 * s.n)
+    for vec in rng.sample(basis, min(terms, len(basis))):
+        c = rng.randrange(1, s.d)
+        v = [(a + c * b) % s.d for a, b in zip(v, vec)]
+    return PauliVec(s.d, s.n, tuple(v[: s.n]), tuple(v[s.n :]))
+
+
+def random_wide_stabilizer(rng: random.Random, d: int, n: int, rank: int) -> StabilizerSet:
+    """A stabilizer of the given rank on any number of registers, grown with
+    the tuple oracle alone from random normalizer elements, so its rows
+    reach the high columns without rejection sampling."""
+    s = SimpleNamespace(d=d, n=n, gens=())
+    while len(s.gens) < rank:
+        cand = random_normalizer_element(rng, s, rng.randint(1, 4))
+        if not is_member_reference(s, cand):
+            s.gens += (cand,)
+    return StabilizerSet(d, n, s.gens)
 
 
 def check_symplectic_algebra(cases: int = 10_000, seed: int = 20240305) -> str:

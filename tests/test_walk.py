@@ -174,6 +174,7 @@ def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
     [
         (Measure(parse("XX", 2)), "IllegalMeasurement: XX acts on d=2, n=2"),
         (Measure(parse("X,X,I,I,I,I,I,I,I,I", 3)), "IllegalMeasurement"),
+        (Measure("XXIIIIIIII"), "IllegalMeasurement: 'XXIIIIIIII' is not a PauliVec"),
         (Discard(frozenset(range(10))), "IllegalDiscard: discard of 10 registers"),
         (Discard(frozenset()), "IllegalDiscard: discard of no registers"),
         (Discard(frozenset({3, 10, -1})), "IllegalDiscard: discard registers [-1, 10]"),
@@ -181,6 +182,7 @@ def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
     ids=[
         "wrong-n-operator",
         "wrong-d-operator",
+        "text-operator",
         "oversized-discard",
         "empty-discard",
         "out-of-range-discard",
