@@ -1,8 +1,10 @@
 """The packed row reduction (``_kernels.Echelon``) and every caller of it
 against the tuple reduction it replaced, kept in ``prop_checks`` as the
 oracle: ranks, membership, coset partitions, ``extend``'s errors, the
-normalizer complement basis and the minimum normalizer weight.  Operators
-run to n = 130 registers, so rows cross the 64- and 128-bit columns."""
+normalizer complement basis and the minimum normalizer weight; and the
+coset-class invariant ``engine.verify`` relies on at a Finish leaf.
+Operators run to n = 130 registers, so rows cross the 64- and 128-bit
+columns."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import prop_checks
 from prop_checks import random_wide_stabilizer
 from twep.errorspace import ErrorSet, coset_classes
-from twep.pauli import PauliVec, multiply
+from twep.pauli import PauliVec, inverse, multiply
 from twep.stabilizer import (
     StabilizerSet,
     min_normalizer_weight,
@@ -126,3 +128,24 @@ def small_cases(draw):
 @given(s=small_cases())
 def test_min_normalizer_weight_matches_the_tuple_oracle(s):
     assert min_normalizer_weight(s) == prop_checks.min_normalizer_weight_reference(s)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=wide_cases(), stray=st.booleans())
+def test_one_coset_class_means_the_correction_fits_every_error(case, stray):
+    """Why ``engine.verify`` need not check each error at a Finish leaf: when
+    ``coset_classes`` reports one class, the representative differs from
+    every member by a stabilizer element, by the tuple oracle.  The errors
+    are one operator shifted by group elements, plus, if ``stray``, one
+    more operator that may fall in another class."""
+    rng, s = case
+    base = _operators(rng, s, 1)[0]
+    errors = [multiply(base, _element(rng, s)) for _ in range(rng.randint(1, 8))]
+    if stray:
+        errors.insert(rng.randrange(len(errors) + 1), _operators(rng, s, 1)[0])
+    partition = coset_classes(ErrorSet(s.d, s.n, tuple(errors)), s)
+    assert partition.is_single_class or stray
+    if partition.is_single_class:
+        undo = inverse(partition.representatives[0])
+        for e in errors:
+            assert prop_checks.is_member_reference(s, multiply(undo, e))
