@@ -29,7 +29,7 @@ def kernel_backend() -> str:
     return "python"
 
 
-def add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
     """Sum over Z_3 of the packed vectors (a1, a2) and (b1, b2): a column
     sums to 1 from 1+0, 0+1 or 2+2 and to 2 from 2+0, 0+2 or 1+1."""
     a0 = ~(a1 | a2)
@@ -65,9 +65,9 @@ class Echelon:
             return one, 0
         for pivot, r1, r2 in self.rows:
             if one & pivot:  # subtract the row once: add its negation
-                one, two = add3(one, two, r2, r1)
+                one, two = _add3(one, two, r2, r1)
             elif two & pivot:  # subtract it twice: add it once
-                one, two = add3(one, two, r1, r2)
+                one, two = _add3(one, two, r1, r2)
         return one, two
 
     def insert(self, one: int, two: int = 0) -> Echelon | None:
@@ -84,9 +84,9 @@ class Echelon:
         rows = []
         for p, r1, r2 in self.rows:
             if r1 & pivot:
-                r1, r2 = (r1 ^ one, 0) if self.d == 2 else add3(r1, r2, two, one)
+                r1, r2 = (r1 ^ one, 0) if self.d == 2 else _add3(r1, r2, two, one)
             elif r2 & pivot:
-                r1, r2 = add3(r1, r2, one, two)
+                r1, r2 = _add3(r1, r2, one, two)
             rows.append((p, r1, r2))
         rows.append((pivot, one, two))
         return Echelon(self.d, tuple(rows))

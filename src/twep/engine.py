@@ -33,13 +33,8 @@ from typing import Callable, Optional
 
 from . import errorspace
 from .errorspace import DEFAULT_CAP, ErrorSet, coset_classes, filter_by_outcome
-from .pauli import (
-    PauliVec,
-    multiply,  # unused here; perfbench's tracer wraps ``engine.multiply``
-    render,
-    symplectic_product,
-    weight,
-)
+# multiply is unused here; perfbench's tracer wraps ``engine.multiply``.
+from .pauli import PauliVec, multiply, render, symplectic_product, weight
 from .stabilizer import DISCARD_MAX_REGISTERS, StabilizerSet, complete_discard
 
 

@@ -16,7 +16,7 @@ from itertools import product as _iter_product
 from typing import Iterable, Sequence
 
 from . import _kernels
-from ._kernels import Echelon, add3
+from ._kernels import Echelon
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
@@ -168,15 +168,12 @@ class StabilizerSet:
 
     def span_elements(self) -> Iterable[PauliVec]:
         """Every element of the generated group (d^rank of them)."""
-        base = [_packed(g) for g in self.gens]
-        for coeffs in _iter_product(range(self.d), repeat=len(base)):
-            one = two = 0
-            for c, (r1, r2) in zip(coeffs, base):
-                if c == 2:  # twice a row is its negation: swap its planes
-                    r1, r2 = r2, r1
-                if c:
-                    one, two = (one ^ r1, 0) if self.d == 2 else add3(one, two, r1, r2)
-            yield _operator(self.d, self.n, one, two)
+        for coeffs in _iter_product(range(self.d), repeat=len(self.gens)):
+            op = PauliVec.identity(self.d, self.n)
+            for c, g in zip(coeffs, self.gens):
+                for _ in range(c):
+                    op = multiply(op, g)
+            yield op
 
 
 def _candidates_on(d: int, n: int, registers: Sequence[int]) -> Iterable[_Planes]:
@@ -275,9 +272,7 @@ def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
         rows = rows.insert(z1 | g.x1 << n, z2 | g.x2 << n) or rows
     # The rows are fully reduced, so back-substitution reads directly: the
     # vector of free column f holds 1 there and -row[f] at each row's pivot.
-    pivots = 0
-    for pivot, _, _ in rows.rows:
-        pivots |= pivot
+    pivots = sum(pivot for pivot, _, _ in rows.rows)
     basis = []
     for free in range(2 * n):
         bit = 1 << free
