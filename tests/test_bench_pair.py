@@ -56,3 +56,19 @@ def test_summary_rejects_unpaired_runs():
 def test_seed_ranges():
     assert bench_pair.parse_seeds("31-33") == [31, 32, 33]
     assert bench_pair.parse_seeds("7") == [7]
+
+
+def test_layer_changes_of_one_traced_run_per_side():
+    parent = {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.5,
+              "pauli.multiply.calls": 382, "failed": 0}
+    change = {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.2,
+              "pauli.multiply.calls": 0, "failed": 0, "new.calls": 3}
+    out = bench_pair.layer_changes(parent, change)
+    assert list(out) == sorted(parent.keys() | change.keys())
+    assert out["kernels.best_splitter.calls"] == {
+        "parent": 40, "change": 40, "relative_change": 0.0}
+    assert out["engine.verify.self_s"]["relative_change"] == -0.6
+    assert out["pauli.multiply.calls"]["relative_change"] == -1.0
+    # A zero parent value has no relative change; a missing metric reads 0.
+    assert out["failed"] == {"parent": 0, "change": 0}
+    assert out["new.calls"] == {"parent": 0, "change": 3}

@@ -21,6 +21,10 @@ parent median).
 ``--claim WORKLOAD:METRIC`` also records whether the change won at least
 nine of every ten pairs and its median beat the parent's by more than the
 parent's interquartile range.
+
+After the pairs, ``perfbench/run.py --trace 1`` runs once per side per
+workload, on the first seed; ``per_layer`` holds each of its metrics as
+the parent's value, the change's value and ``relative_change``.
 """
 
 from __future__ import annotations
@@ -63,6 +67,18 @@ def summarize(parent: list[float], change: list[float]) -> dict:
     base = statistics.median(parent)
     if base:
         out["relative_change"] = round((statistics.median(change) - base) / base, 4)
+    return out
+
+
+def layer_changes(parent: dict, change: dict) -> dict:
+    """Parent value, change value and relative change of every metric of
+    one traced run per side; a metric missing on one side counts as 0."""
+    out = {}
+    for name in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(name, 0), change.get(name, 0)
+        out[name] = {"parent": p, "change": c}
+        if p:
+            out[name]["relative_change"] = round((c - p) / p, 4)
     return out
 
 
@@ -110,10 +126,11 @@ def export_working_tree(target: Path) -> None:
             shutil.copy2(source, target / source)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(metric values, run metadata) of one untraced benchmark run."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[dict, dict]:
+    """(metric values, run metadata) of one benchmark run."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"{' '.join(command)} in {tree} failed:\n{done.stderr}")
@@ -156,6 +173,7 @@ def main(argv=None) -> int:
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain"))
     runs = {w: {"parent": [], "change": []} for w in args.workload}
+    traced = {w: {} for w in args.workload}
     meta = {}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
@@ -171,6 +189,11 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {workload} seed {seed} {side}: "
                           f"batch_s {values['batch_s']:.4f}", file=sys.stderr)
                 pair += 1
+        for workload in args.workload:
+            for side in ("parent", "change"):
+                traced[workload][side], _ = run_once(
+                    trees[side], workload, args.seeds[0], args.seconds, trace=1)
+                print(f"traced {workload} seed {args.seeds[0]} {side}", file=sys.stderr)
 
     end_to_end = {}
     for workload, sides in runs.items():
@@ -198,8 +221,13 @@ def main(argv=None) -> int:
                     "scaled seconds; quartiles are inclusive over the seeds; "
                     "change_wins counts pairs the change wins strictly; "
                     "relative_change is (change median - parent median) / parent median",
+        "per_layer_command": f"python3 perfbench/run.py --workload W --seed "
+                             f"{args.seeds[0]} --seconds {args.seconds:g} --trace 1, "
+                             f"once per side",
         "claimed": claimed,
         "end_to_end": end_to_end,
+        "per_layer": {w: layer_changes(sides["parent"], sides["change"])
+                      for w, sides in traced.items()},
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
