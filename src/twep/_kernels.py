@@ -15,13 +15,16 @@ bit-row over the error list (bit e set iff the vector anticommutes with
 error e), so a candidate's anticommuting count is the popcount of the XOR
 of its rows.  Its tie-break key is linear too: the canonical key is the
 Morton interleave of x and z, and the smallest key in a coset of the span
-is a linear projection of any key in it.  Every candidate is then a pair of
-XORs, and candidates are swept in blocks with C-level ``map`` calls.
+is a linear projection of any key in it.  Those projected keys are put in
+fully reduced GF(2) echelon form, each carrying its row, and sorted by
+pivot: the key of a combination then rises with its mask, since for masks
+a != b the top bit of key(a) ^ key(b) is the highest pivot in a ^ b.  The
+scan sweeps masks upward in blocks of C-level ``map`` calls, so the first
+candidate reaching the smallest larger side is the winner, and it stops at
+a block that reaches a lower bound no candidate can beat.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 
 def kernel_backend() -> str:
@@ -172,21 +175,32 @@ def _deinterleave(key: int, n: int) -> tuple[int, int]:
 
 
 def _coset_min(v: int, basis: list[int]) -> int:
-    """Smallest element of v + span(basis); basis rows have distinct leading
-    bits and are sorted by them, highest first."""
+    """Smallest element of v + span(basis): v with every leading bit of the
+    basis cleared, which is linear in v.  Basis rows have distinct leading
+    bits and are either fully reduced or sorted by them, highest first."""
     for b in basis:
         v = min(v, v ^ b)
     return v
 
 
-def _echelon(rows: list[int]) -> list[int]:
-    """Echelon basis of the GF(2) span of rows, in the form ``_coset_min`` takes."""
-    basis: list[int] = []
-    for v in rows:
-        v = _coset_min(v, basis)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
+def _key_order(keys: list[int], rows: list[int]) -> list[tuple[int, int]]:
+    """Fully reduced GF(2) echelon basis of the keys' span, sorted by key.
+
+    Each key carries its row through the same XORs.  A basis key's leading
+    bit (its pivot) is set in no other basis key, so the XOR of a set of
+    basis keys has as its leading bit the highest pivot in the set: the
+    order of combinations by key is the order of their masks as integers.
+    Zero keys (dependent on earlier ones) are dropped."""
+    basis: list[tuple[int, int]] = []
+    for key, row in zip(keys, rows):
+        for k, r in basis:
+            if key ^ k < key:
+                key, row = key ^ k, row ^ r
+        if key:
+            pivot = 1 << (key.bit_length() - 1)
+            basis = [(k ^ key, r ^ row) if k & pivot else (k, r) for k, r in basis]
+            basis.append((key, row))
+    basis.sort()
     return basis
 
 
@@ -222,34 +236,48 @@ def best_splitter(
     Returns (x, z, commuting, anticommuting) for the winner.  Candidates are
     ranked by smallest max(|C|, |A|); ties go to the smallest canonical key.
     Adding a span element to a candidate never changes its split sizes, so
-    the split is computed once per complement combination and the span
-    combinations only compete on key.
+    the split is computed once per complement combination, and the winner
+    of a combination's coset is its coset-minimal key.
+
+    Key order: in the basis ``_key_order`` returns, a combination's key
+    rises with its mask, so masks are scanned upward and the first one
+    reaching the smallest larger side yet seen is the winner; only its key
+    is built.  Stop rule: the scan ends at a block that reaches the least
+    larger side over anticommuting counts of reachable parity.  Parity is
+    linear in the mask, so when every row has even popcount only even
+    counts are reachable; otherwise the bound is ceil(ne / 2).
     """
-    nc = len(comp_x)
     ne = len(err_x)
-    if nc == 0:
+    if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
-    span = _echelon([_interleave_key(x, z, n) for x, z in zip(span_x, span_z)])
-    keys = [_coset_min(_interleave_key(x, z, n), span) for x, z in zip(comp_x, comp_z)]
-    rows = [_anticommuting(x, z, err_x, err_z) for x, z in zip(comp_x, comp_z)]
+    span_keys = [_interleave_key(x, z, n) for x, z in zip(span_x, span_z)]
+    span = [k for k, _ in _key_order(span_keys, [0] * len(span_keys))]
+    basis = _key_order(
+        [_coset_min(_interleave_key(x, z, n), span) for x, z in zip(comp_x, comp_z)],
+        [_anticommuting(x, z, err_x, err_z) for x, z in zip(comp_x, comp_z)],
+    )
+    rows = [r for _, r in basis]
     larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
-    # Candidate (high, low) is the XOR of a high-half and a low-half entry.
-    low = (nc + 1) // 2
-    low_rows, low_keys = _combinations(rows[:low]), _combinations(keys[:low])
-    high = zip(_combinations(rows[low:]), _combinations(keys[low:]))
-    best = None
-    for i, (high_row, high_key) in enumerate(high):
+    even = all(r.bit_count() % 2 == 0 for r in rows)
+    bound = min(larger_side[:: 2 if even else 1])
+    # Mask (i << low) + j pairs high-half entry i with low-half entry j.
+    low = (len(rows) + 1) // 2
+    low_rows = _combinations(rows[:low])
+    best, winner = ne + 1, 0
+    for i, high_row in enumerate(_combinations(rows[low:])):
         # Entry 0 of both halves is the identity, which is not a candidate.
         start = 0 if i else 1
-        block_rows, block_keys = low_rows[start:], low_keys[start:]
-        anti = map(int.bit_count, map(high_row.__xor__, block_rows))
+        anti = map(int.bit_count, map(high_row.__xor__, low_rows[start:]))
         sides = list(map(larger_side.__getitem__, anti))
         m = min(sides)
-        if best is not None and m > best[0]:
-            continue
-        key = min(map(high_key.__xor__, compress(block_keys, map(m.__eq__, sides))))
-        if best is None or (m, key) < best:
-            best = (m, key)
-    best_x, best_z = _deinterleave(best[1], n)
+        if m < best:
+            best, winner = m, (i << low) + start + sides.index(m)
+            if m == bound:
+                break
+    key = 0
+    for j, (k, _) in enumerate(basis):
+        if winner >> j & 1:
+            key ^= k
+    best_x, best_z = _deinterleave(key, n)
     anti = _anticommuting(best_x, best_z, err_x, err_z).bit_count()
     return best_x, best_z, ne - anti, anti

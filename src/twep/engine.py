@@ -327,7 +327,7 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
     members = errorspace.enumerate_errors(n, strategy.t, d, cap).members
     found: list[Optional[Counterexample]] = [None] * len(members)
     k_values: list[int] = []
-    completions: dict[tuple, list[PauliVec]] = {}
+    completions: dict[tuple, tuple[list[PauliVec], StabilizerSet]] = {}
 
     def split(op: PauliVec, reached: tuple[int, ...]):
         parts: list[list[int]] = [[] for _ in range(d)]
@@ -348,13 +348,14 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
                 added = [step.op]
             elif isinstance(step, Discard):
                 key = (s.gens, frozenset(step.registers))
-                if key not in completions:
+                completed = completions.get(key)
+                if completed is None:
                     added = complete_discard(s, key[1])
                     grown = s
                     for op in added:
                         grown = grown.extend(op)
-                    completions[key] = added, grown
-                added, grown = completions[key]
+                    completed = completions[key] = added, grown
+                added, grown = completed
             elif isinstance(step, Finish):
                 survivors = ErrorSet(d, n, tuple(members[i] for i in reached))
                 partition = coset_classes(survivors, s)

@@ -11,6 +11,9 @@ whole protocol spends at most ceil(log2 |E|) + 2 measurements.
 The decision tree is built once, up front, by one recursive bisection of
 the enumerated errors; the strategy looks its steps up in that tree, and
 the step statistics are read from it after ``verify`` has checked it.
+Each node's scan is ``_kernels.best_splitter``, fed the packed normalizer
+complement rows: it visits candidates in key order and stops at the first
+split no candidate can beat.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ from .errorspace import (
     filter_by_outcome,
 )
 from .pauli import PauliVec, multiply, symplectic_product
-from .stabilizer import SizeLimitError, StabilizerSet, normalizer_complement_basis
+from .stabilizer import (
+    SizeLimitError,
+    StabilizerSet,
+    _complement_rows,
+    normalizer_complement_basis,
+)
 
 SCAN_MAX_N = 10
 
@@ -86,14 +94,15 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
         raise NoSeparatorError(
             "remaining errors are coset-equivalent; no separator exists or is needed"
         )
-    complement = normalizer_complement_basis(s)
+    complement = _complement_rows(s)
     if not complement:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
+    low = (1 << s.n) - 1
     x, z, _, _ = _kernels.best_splitter(
         [g.x1 for g in s.gens],
         [g.z1 for g in s.gens],
-        [c.x1 for c in complement],
-        [c.z1 for c in complement],
+        [one & low for one, _ in complement],
+        [one >> s.n for one, _ in complement],
         [e.x1 for e in errors.members],
         [e.z1 for e in errors.members],
         s.n,

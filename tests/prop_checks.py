@@ -5,9 +5,16 @@ small summary string on success."""
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from types import SimpleNamespace
 
+from twep._kernels import (
+    _anticommuting,
+    _combinations,
+    _coset_min,
+    _deinterleave,
+    _interleave_key,
+)
 from twep.engine import (
     Counterexample,
     Discard,
@@ -247,6 +254,59 @@ def min_normalizer_weight_reference(s: StabilizerSet) -> int:
         [c.z for c in complement],
         s.d,
     )
+
+
+def _echelon(rows: list[int]) -> list[int]:
+    """Echelon basis of the GF(2) span of rows, in the form ``_coset_min`` takes."""
+    basis: list[int] = []
+    for v in rows:
+        v = _coset_min(v, basis)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def best_splitter_reference(
+    span_x: list[int],
+    span_z: list[int],
+    comp_x: list[int],
+    comp_z: list[int],
+    err_x: list[int],
+    err_z: list[int],
+    n: int,
+) -> tuple[int, int, int, int]:
+    """The full scan ``_kernels.best_splitter`` replaced: every complement
+    combination is scored, and the smallest canonical key among those with
+    the smallest larger side wins."""
+    nc = len(comp_x)
+    ne = len(err_x)
+    if nc == 0:
+        raise ValueError("complement basis is empty: nothing outside the span")
+    span = _echelon([_interleave_key(x, z, n) for x, z in zip(span_x, span_z)])
+    keys = [_coset_min(_interleave_key(x, z, n), span) for x, z in zip(comp_x, comp_z)]
+    rows = [_anticommuting(x, z, err_x, err_z) for x, z in zip(comp_x, comp_z)]
+    larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
+    # Candidate (high, low) is the XOR of a high-half and a low-half entry.
+    low = (nc + 1) // 2
+    low_rows, low_keys = _combinations(rows[:low]), _combinations(keys[:low])
+    high = zip(_combinations(rows[low:]), _combinations(keys[low:]))
+    best = None
+    for i, (high_row, high_key) in enumerate(high):
+        # Entry 0 of both halves is the identity, which is not a candidate.
+        start = 0 if i else 1
+        block_rows, block_keys = low_rows[start:], low_keys[start:]
+        anti = map(int.bit_count, map(high_row.__xor__, block_rows))
+        sides = list(map(larger_side.__getitem__, anti))
+        m = min(sides)
+        if best is not None and m > best[0]:
+            continue
+        key = min(map(high_key.__xor__, compress(block_keys, map(m.__eq__, sides))))
+        if best is None or (m, key) < best:
+            best = (m, key)
+    best_x, best_z = _deinterleave(best[1], n)
+    anti = _anticommuting(best_x, best_z, err_x, err_z).bit_count()
+    return best_x, best_z, ne - anti, anti
 
 
 def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:

@@ -218,7 +218,8 @@ class TestGoldenStdout:
         assert result.stdout_bytes == golden.read_bytes()
 
     @pytest.mark.parametrize(
-        "n, t, code", [(7, 1, 0), (5, 2, 1), (6, 2, 0), (8, 2, 1), (9, 2, 1)]
+        "n, t, code",
+        [(7, 1, 0), (9, 1, 0), (10, 1, 0), (5, 2, 1), (6, 2, 0), (8, 2, 1), (9, 2, 1)],
     )
     def test_greedy(self, runner, n, t, code):
         result = runner.invoke(main, ["greedy", "--n", str(n), "--t", str(t)])

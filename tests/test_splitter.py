@@ -1,0 +1,142 @@
+"""The best-splitter scan (``_kernels.best_splitter``), which walks the
+complement combinations in key order and stops at a proven lower bound,
+against the full scan it replaced, kept in ``prop_checks`` as the oracle.
+
+Instances cover every stabilizer rank on up to 7 registers, random error
+lists and survivors sharing a syndrome, and the nodes where the stop rule
+matters: rows of even parity only (weight-<=1 errors on an empty
+stabilizer, as at the greedy root), one error, one complement vector, and
+survivors in a single coset, where no candidate reaches the bound."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import prop_checks
+from twep import _kernels
+from twep.errorspace import base_errors
+from twep.pauli import PauliVec, multiply
+from twep.stabilizer import StabilizerSet, _complement_rows
+
+
+def _arguments(s: StabilizerSet, errors: list[PauliVec]) -> tuple:
+    """``best_splitter``'s arguments as ``synth.choose_generator`` builds them."""
+    n, low = s.n, (1 << s.n) - 1
+    complement = _complement_rows(s)
+    return (
+        [g.x1 for g in s.gens],
+        [g.z1 for g in s.gens],
+        [one & low for one, _ in complement],
+        [one >> n for one, _ in complement],
+        [e.x1 for e in errors],
+        [e.z1 for e in errors],
+        n,
+    )
+
+
+def _group_element(rng: random.Random, s: StabilizerSet) -> PauliVec:
+    op = PauliVec.identity(2, s.n)
+    for g in s.gens:
+        if rng.randrange(2):
+            op = multiply(op, g)
+    return op
+
+
+def _errors(
+    rng: random.Random, s: StabilizerSet, kind: str, count: int
+) -> list[PauliVec]:
+    """``random``: any operators; ``syndrome``: one operator times random
+    normalizer elements, so all share its syndrome; ``coset``: one operator
+    times group elements, so all lie in one coset; ``light``: weight <= 1."""
+    if kind == "light":
+        light = base_errors(2, s.n, 1).members
+        return [rng.choice(light) for _ in range(count)]
+    if kind == "random":
+        return [prop_checks._random_pauli(rng, 2, s.n) for _ in range(count)]
+    base = prop_checks._random_pauli(rng, 2, s.n)
+    if kind == "coset":
+        return [multiply(base, _group_element(rng, s)) for _ in range(count)]
+    return [
+        multiply(base, prop_checks.random_normalizer_element(rng, s, rng.randint(0, 4)))
+        for _ in range(count)
+    ]
+
+
+def _assert_same(
+    s: StabilizerSet, errors: list[PauliVec], nc: int | None = None
+) -> None:
+    args = list(_arguments(s, errors))
+    args[2:4] = args[2][:nc], args[3][:nc]
+    assert _kernels.best_splitter(*args) == prop_checks.best_splitter_reference(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    data=st.data(),
+    kind=st.sampled_from(["random", "syndrome", "coset", "light"]),
+    count=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_equals_the_full_scan(n, data, kind, count, seed):
+    rng = random.Random(seed)
+    s = prop_checks.random_stabilizer(rng, 2, n, data.draw(st.integers(0, n - 1)))
+    _assert_same(s, _errors(rng, s, kind, count))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_all_light_errors_on_an_empty_stabilizer(n):
+    """Every complement row then has even popcount (the greedy root)."""
+    s = StabilizerSet(2, n)
+    errors = list(base_errors(2, n, 1).members)
+    args = _arguments(s, errors)
+    rows = [_kernels._anticommuting(x, z, *args[4:6]) for x, z in zip(*args[2:4])]
+    assert all(row.bit_count() % 2 == 0 for row in rows)
+    _assert_same(s, errors)
+    _assert_same(s, errors[1:])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_edge_nodes(seed):
+    """One error; one complement vector (a stabilizer's complement has even
+    size, so the basis is cut to its first vector); and one-coset survivors,
+    where the bound is out of reach: every candidate keeps all of them on
+    one side."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    s = prop_checks.random_stabilizer(rng, 2, n, rng.randint(0, n - 1))
+    _assert_same(s, _errors(rng, s, "random", 1))
+    _assert_same(s, _errors(rng, s, "syndrome", rng.randint(1, 8)), nc=1)
+    coset = _errors(rng, s, "coset", rng.randint(2, 8))
+    _, _, commuting, anti = _kernels.best_splitter(*_arguments(s, coset))
+    assert 0 in (commuting, anti)
+    _assert_same(s, coset)
+
+
+def test_full_rank_has_no_candidate():
+    s = prop_checks.random_stabilizer(random.Random(3), 2, 4, 4)
+    args = _arguments(s, [PauliVec.identity(2, 4)])
+    for scan in (_kernels.best_splitter, prop_checks.best_splitter_reference):
+        with pytest.raises(ValueError, match="complement basis is empty"):
+            scan(*args)
+
+
+def test_odd_rows_keep_the_plain_bound():
+    """Every row odd and |errors| = 2 mod 4: an odd count can split them
+    evenly, so the even-only bound (one higher) must not apply."""
+    rng = random.Random(7)
+    found = 0
+    while found < 100:
+        n = rng.randint(2, 6)
+        s = prop_checks.random_stabilizer(rng, 2, n, rng.randint(0, n - 2))
+        kind = rng.choice(["random", "syndrome"])
+        errors = _errors(rng, s, kind, rng.choice([6, 10]))
+        args = _arguments(s, errors)
+        rows = [_kernels._anticommuting(x, z, *args[4:6]) for x, z in zip(*args[2:4])]
+        if all(row.bit_count() % 2 for row in rows):
+            found += 1
+            _assert_same(s, errors)
