@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from . import errorspace
@@ -166,9 +167,11 @@ class Report:
     counterexamples: tuple[Counterexample, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        """Plain-data form.  Each distinct transcript is rendered once (every
-        counterexample at one Finish leaf shares its leaf's transcript), so
-        the counterexamples that share a transcript share its record list."""
+        """Plain-data form, which ``twep greedy`` extends with its step
+        statistics before dumping.  Each distinct transcript is rendered
+        once (every counterexample at one Finish leaf shares its leaf's
+        transcript), so the counterexamples that share a transcript share
+        its record list."""
         records: dict[int, list[dict]] = {}
         for c in self.counterexamples:
             if c.transcript is not None and id(c.transcript) not in records:
@@ -190,7 +193,53 @@ class Report:
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_dict(), indent=2)`` plus a newline, byte for
+        byte, written directly: Python's indenting encoder is pure Python
+        and would re-render a shared transcript for every counterexample.
+        Strings go through the C escaper ``json.dumps`` uses, and a memo
+        keyed by object identity renders each distinct operator and each
+        distinct transcript block once per call."""
+        ops: dict[int, str] = {}
+        blocks: dict[int, str] = {}
+
+        def op_text(op: PauliVec) -> str:
+            text = ops.get(id(op))
+            if text is None:
+                text = ops[id(op)] = _quote(render(op))
+            return text
+
+        def block(transcript: Optional[Transcript]) -> str:
+            if transcript is None:
+                return "null"
+            text = blocks.get(id(transcript))
+            if text is None:
+                records = [
+                    f'{{\n          "op": {op_text(op)},\n'
+                    f'          "outcome": {outcome}\n        }}'
+                    for op, outcome in transcript.history.entries
+                ]
+                records.append(
+                    f'{{\n          "correction": {op_text(transcript.correction)},\n'
+                    f'          "k_out": {transcript.k_out}\n        }}'
+                )
+                text = blocks[id(transcript)] = (
+                    "[\n        " + ",\n        ".join(records) + "\n      ]"
+                )
+            return text
+
+        found = [
+            f'{{\n      "error": {op_text(c.hidden)},\n'
+            f'      "reason": {_quote(c.reason)},\n'
+            f'      "transcript": {block(c.transcript)}\n    }}'
+            for c in self.counterexamples
+        ]
+        listing = "[\n    " + ",\n    ".join(found) + "\n  ]" if found else "[]"
+        return (
+            f'{{\n  "errors_checked": {self.errors_checked},\n'
+            f'  "k_min": {self.k_min},\n'
+            f'  "pass": {"true" if self.passed else "false"},\n'
+            f'  "counterexamples": {listing}\n}}\n'
+        )
 
 
 def generic_correction(

@@ -101,6 +101,17 @@ class PauliVec:
             d=d, n=n, x=x, z=z, x1=ones & low, x2=twos & low, z1=ones >> n, z2=twos >> n
         )
 
+    # The hash the dataclass would generate, computed on first use and kept
+    # in the instance dict like the planes: strategies, relabellings and the
+    # discard memo hash the same operators many times.  A dict lookup, not a
+    # caught AttributeError: raising costs more than hashing a narrow
+    # operator, and many of greedy's are hashed only a few times.
+    def __hash__(self) -> int:
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash((self.d, self.n, self.x, self.z))
+        return value
+
     @classmethod
     def identity(cls, d: int, n: int) -> PauliVec:
         return cls(d, n, (0,) * n, (0,) * n)

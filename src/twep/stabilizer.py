@@ -23,7 +23,6 @@ from .pauli import (
     _Planes,
     _product,
     _unpack,
-    inverse,
     multiply,
     symplectic_product,
     weight,
@@ -244,19 +243,6 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
             current = grown
             added.append(op)
     return added
-
-
-def code_corrects(s: StabilizerSet, errors) -> bool:
-    """Theorem-style correction test: no pair of candidate errors may differ
-    by an undetectable operator (normalizer element outside the group)."""
-    members = list(getattr(errors, "members", errors))
-    for i, e in enumerate(members):
-        e_inv = inverse(e)
-        for f in members[i + 1 :]:
-            diff = multiply(e_inv, f)
-            if s.in_normalizer(diff) and not s.is_member(diff):
-                return False
-    return True
 
 
 def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ small summary string on success."""
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, compress, product
 from types import SimpleNamespace
@@ -51,6 +52,19 @@ def random_stabilizer(rng: random.Random, d: int, n: int, rank: int) -> Stabiliz
         if s.in_normalizer(cand) and not s.is_member(cand):
             s = s.extend(cand)
     return s
+
+
+def code_corrects(s: StabilizerSet, errors) -> bool:
+    """Theorem-style correction test: no pair of candidate errors may differ
+    by an undetectable operator (normalizer element outside the group)."""
+    members = list(getattr(errors, "members", errors))
+    for i, e in enumerate(members):
+        e_inv = inverse(e)
+        for f in members[i + 1 :]:
+            diff = multiply(e_inv, f)
+            if s.in_normalizer(diff) and not s.is_member(diff):
+                return False
+    return True
 
 
 def symplectic_product_reference(p: PauliVec, q: PauliVec) -> int:
@@ -504,6 +518,12 @@ def verify_by_simulation(strategy: Strategy) -> Report:
     k_out and residual checks, in enumeration order.  ``engine.verify``
     must return the same report by walking the outcome tree once."""
     return report_of_runs(simulate_each(strategy), strategy.k_claimed)
+
+
+def report_text_reference(report: Report) -> str:
+    """What ``Report.to_text`` writes directly: the plain-data form through
+    ``json.dumps`` with two-space indentation, plus a newline."""
+    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def assert_same_report(walked: Report, reference: Report) -> None:

@@ -3,6 +3,9 @@ kept in ``prop_checks`` as slow oracles."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
@@ -18,13 +21,20 @@ from twep.pauli import (
     DimensionMismatchError,
     PauliVec,
     canonical_key,
+    multiply,
     parse,
     render,
     symplectic_product,
     weight,
 )
 from twep.protocols import get, names
-from twep.stabilizer import SizeLimitError, StabilizerSet, complete_discard
+from twep.stabilizer import (
+    SizeLimitError,
+    StabilizerSet,
+    _operator,
+    _packed,
+    complete_discard,
+)
 
 
 @st.composite
@@ -63,6 +73,48 @@ def test_packed_arithmetic_matches_the_tuple_formulas(pair):
         assert parse(render(v), v.d) == v
         assert canonical_key(v) == prop_checks.canonical_key_reference(v)
         assert weight(v) == prop_checks.weight_reference(v)
+
+
+def _built_four_ways(d: int, text: str, sites: dict, left: str, right: str):
+    """One operator from parse, from_sites, a packed row and multiply."""
+    p = parse(text, d)
+    return [
+        p,
+        PauliVec.from_sites(d, p.n, sites),
+        _operator(d, p.n, *_packed(p)),
+        multiply(parse(left, d), parse(right, d)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, text, sites, left, right",
+    [
+        (2, "XYZI", {0: (1, 0), 1: (1, 1), 2: (0, 1)}, "XIZI", "IYII"),
+        (3, "X,XZ2,Z2,I", {0: (1, 0), 1: (1, 2), 2: (0, 2)}, "X,X,I,I", "I,Z2,Z2,I"),
+        (2, "I" * 70 + "Y", {70: (1, 1)}, "I" * 70 + "X", "I" * 70 + "Z"),
+    ],
+    ids=["qubits", "qutrits", "wide"],
+)
+def test_hash_is_the_dataclass_hash_computed_once(d, text, sites, left, right):
+    built = _built_four_ways(d, text, sites, left, right)
+    want = hash((built[0].d, built[0].n, built[0].x, built[0].z))
+    shown = repr(built[0])
+    for p in built:
+        assert p == built[0]
+        assert hash(p) == hash((p.d, p.n, p.x, p.z)) == want
+        assert hash(p) == want  # the kept value
+        assert repr(p) == shown
+    assert len(set(built)) == 1
+    assert [f.name for f in dataclasses.fields(PauliVec)] == ["d", "n", "x", "z"]
+    p = built[0]
+    assert shown == f"PauliVec(d={p.d}, n={p.n}, x={p.x!r}, z={p.z!r})"
+    for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and hash(twin) == want and repr(twin) == shown
+    same = dataclasses.replace(p)
+    assert same == p and hash(same) == want
+    moved = dataclasses.replace(p, x=p.z, z=p.x)
+    assert moved == PauliVec(d, p.n, p.z, p.x)
+    assert hash(moved) == hash((d, p.n, p.z, p.x))
 
 
 @settings(max_examples=100, deadline=None)

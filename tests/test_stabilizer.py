@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 import pytest
-from prop_checks import random_stabilizer
+from prop_checks import code_corrects, random_stabilizer
 
 from twep.pauli import (
     PauliVec,
@@ -19,7 +19,6 @@ from twep.pauli import (
 from twep.stabilizer import (
     SizeLimitError,
     StabilizerSet,
-    code_corrects,
     complete_discard,
     min_normalizer_weight,
     rank,

@@ -2,12 +2,15 @@
 ``prop_checks.verify_by_simulation``: identical reports, counterexample
 order included, on the built-in protocols and their relabelled and
 over-claiming twins, on greedy strategies, on broken strategies and on
-random adaptive strategies."""
+random adaptive strategies; and every report's text against ``json.dumps``
+of its plain-data form."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +42,10 @@ def _result(check, strategy):
         return type(exc), str(exc)
 
 
+def assert_text_matches_json(report):
+    assert report.to_text() == prop_checks.report_text_reference(report)
+
+
 def assert_walk_matches_oracle(strategy: Strategy):
     walked = _result(verify, strategy)
     reference = _result(prop_checks.verify_by_simulation, strategy)
@@ -46,6 +53,8 @@ def assert_walk_matches_oracle(strategy: Strategy):
         assert walked == reference
     else:
         prop_checks.assert_same_report(walked, reference)
+        assert_text_matches_json(walked)
+        assert_text_matches_json(reference)
     return walked
 
 
@@ -81,6 +90,7 @@ def test_registry_protocols_and_twins_under_relabelling(name, seed):
         report = verify(prop_checks.relabel(base, perm, claimed))
         reference = prop_checks.report_of_runs(runs, claimed)
         prop_checks.assert_same_report(report, reference)
+        assert_text_matches_json(report)
         assert report.passed == (extra == 0)
 
 
@@ -197,6 +207,33 @@ def test_strategy_faults_become_counterexamples_like_the_oracle(step, reason):
     assert all(c.transcript is None for c in report.counterexamples)
 
 
+def test_report_text_escapes_a_reason_like_json():
+    """A reason holding a quote and a non-ASCII character is escaped as
+    ``json.dumps`` escapes it."""
+    report = assert_walk_matches_oracle(scripted(2, 3, 1, [Measure('X"\u00e9')]))
+    reason = "IllegalMeasurement: 'X\"\u00e9' is not a PauliVec"
+    assert {c.reason for c in report.counterexamples} == {reason}
+    assert '"reason": "IllegalMeasurement: \'X\\"\\u00e9\' is not a PauliVec"' in (
+        report.to_text()
+    )
+
+
+def test_report_text_without_a_finish_leaf():
+    report = assert_walk_matches_oracle(BROKEN["nontermination"][0])
+    assert report.k_min == -1
+    assert '  "k_min": -1,\n' in report.to_text()
+
+
+def test_failing_report_text_matches_its_golden_fixture():
+    """The six-pair twin claiming 3: every error fails and the counterexamples
+    at one Finish leaf share its transcript."""
+    base = get("six-pair").strategy
+    report = verify(dataclasses.replace(base, k_claimed=3))
+    golden = Path(__file__).parent / "fixtures" / "golden" / "report_six-pair_k3.out"
+    assert report.to_text() == golden.read_text()
+    assert_text_matches_json(report)
+
+
 def test_a_strategy_fault_fails_exactly_its_branch():
     strategy = branching(6, 1, "ZZIIII", (Finish(), Discard(frozenset({6}))))
     report = assert_walk_matches_oracle(strategy)
@@ -217,7 +254,9 @@ def test_each_history_is_consulted_once():
             seen[history] += 1
             return base.next(history)
 
-        verify(Strategy(base.d, base.n, base.t, base.k_claimed, counting))
+        assert_text_matches_json(
+            verify(Strategy(base.d, base.n, base.t, base.k_claimed, counting))
+        )
         assert seen and set(seen.values()) == {1}
 
 
@@ -232,7 +271,9 @@ def test_greedy_tree_is_consulted_once_per_node(n, t):
         seen[history.entries] += 1
         return strategy.next(history)
 
-    assert verify(Strategy(2, n, t, strategy.k_claimed, counting)).passed
+    report = verify(Strategy(2, n, t, strategy.k_claimed, counting))
+    assert report.passed
+    assert_text_matches_json(report)
     assert set(seen) == set(tree)
     assert set(seen.values()) == {1}
 
@@ -246,7 +287,9 @@ def test_each_distinct_discard_is_completed_once(monkeypatch):
         return original(s, registers)
 
     monkeypatch.setattr(engine, "complete_discard", counting)
-    assert verify(nine_pair()).passed
+    report = verify(nine_pair())
+    assert report.passed
+    assert_text_matches_json(report)
     assert len(calls) == len(set(calls)) == 2
 
 
