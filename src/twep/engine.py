@@ -20,8 +20,9 @@ and is the oracle the tests compare the walk against.  A report passes
 only if every error ends with a consistent correction and enough certified
 pairs.  A step the strategy may not take (a measurement that is not a
 PauliVec, off the protocol's registers, anticommuting or redundant; a
-discard of no, too many or nonexistent registers) is a ProtocolError, and
-so a counterexample for every error that reaches it, in both.
+discard of no, too many, non-integer or nonexistent registers) is a
+ProtocolError, and so a counterexample for every error that reaches it, in
+both.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class RedundantMeasurement(ProtocolError):
 
 
 class IllegalDiscard(ProtocolError):
-    """Discard of no registers, of registers outside the protocol, or of more
-    than DISCARD_MAX_REGISTERS registers."""
+    """Discard of no registers, of registers that are not integers or lie
+    outside the protocol, or of more than DISCARD_MAX_REGISTERS registers."""
 
 
 class UnsoundFinish(ProtocolError):
@@ -293,13 +294,23 @@ def _check_step(step: Step, s: StabilizerSet) -> Optional[StabilizerSet]:
             )
         return grown
     elif isinstance(step, Discard):
-        registers = frozenset(step.registers)
+        try:
+            registers = frozenset(step.registers)
+        except TypeError:
+            raise IllegalDiscard(
+                f"discard registers {step.registers!r} are not a set of integers"
+            ) from None
         if not registers:
             raise IllegalDiscard("discard of no registers")
         if len(registers) > DISCARD_MAX_REGISTERS:
             raise IllegalDiscard(
                 f"discard of {len(registers)} registers exceeds the bound "
                 f"{DISCARD_MAX_REGISTERS}"
+            )
+        strange = sorted(repr(r) for r in registers if not isinstance(r, int))
+        if strange:
+            raise IllegalDiscard(
+                f"discard registers {', '.join(strange)} are not integers"
             )
         outside = sorted(r for r in registers if not 0 <= r < s.n)
         if outside:

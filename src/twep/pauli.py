@@ -26,7 +26,6 @@ as in Aaronson and Gottesman's packed tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 SUPPORTED_DIMENSIONS = (2, 3)
 _DIGITS = {d: frozenset(range(d)) for d in SUPPORTED_DIMENSIONS}
@@ -141,18 +140,9 @@ def _check_compatible(p: PauliVec, q: PauliVec) -> None:
         )
 
 
-class _Planes(NamedTuple):
-    """The bit-planes of an operator that has no PauliVec (yet)."""
-
-    x1: int
-    x2: int
-    z1: int
-    z2: int
-
-
-def _product(a, b, d: int) -> int:
-    """Commutation value of two same-shape PauliVecs or _Planes over Z_d,
-    from their bit-planes (formula in the module docstring)."""
+def _product(a: PauliVec, b: PauliVec, d: int) -> int:
+    """Commutation value of two same-shape PauliVecs over Z_d, from their
+    bit-planes (formula in the module docstring)."""
     if d == 2:
         return ((a.x1 & b.z1) ^ (a.z1 & b.x1)).bit_count() & 1
     xz = (a.x1 & b.z1 | a.x2 & b.z2).bit_count() + 2 * (
@@ -196,14 +186,6 @@ def multiply(p: PauliVec, q: PauliVec) -> PauliVec:
     x = tuple((a + b) % d for a, b in zip(p.x, q.x))
     z = tuple((a + b) % d for a, b in zip(p.z, q.z))
     return PauliVec(d, p.n, x, z)
-
-
-def inverse(p: PauliVec) -> PauliVec:
-    """Phaseless inverse: exponents scaled by d-1 (for d=2 the operator itself)."""
-    d = p.d
-    return PauliVec(
-        d, p.n, tuple((d - 1) * a % d for a in p.x), tuple((d - 1) * a % d for a in p.z)
-    )
 
 
 def weight(p: PauliVec) -> int:

@@ -2,26 +2,25 @@
 
 A stabilizer is an ordered list of mutually commuting, independent phaseless
 Pauli operators.  All the questions this module answers (rank, membership,
-normalizer tests, syndromes, logical count) reduce to exact Gaussian
-elimination on the (x|z) matrix over the field Z_d; no floating point
-appears anywhere.  The matrix rows are packed like the operators: an
-operator's row is its bit-planes over 2n columns, x at bit i and z at bit
-n + i, and ``_kernels.Echelon`` reduces them for both dimensions.
+normalizer tests, syndromes, logical count, discard completion) reduce to
+exact Gaussian elimination on the (x|z) matrix over the field Z_d; no
+floating point appears anywhere.  The matrix rows are packed like the
+operators: an operator's row is its bit-planes over 2n columns, x at bit i
+and z at bit n + i, and ``_kernels.Echelon`` reduces them for both
+dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iter_product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from ._kernels import Echelon
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
-    _Planes,
-    _product,
     _unpack,
     multiply,
     symplectic_product,
@@ -175,51 +174,25 @@ class StabilizerSet:
             yield op
 
 
-def _candidates_on(d: int, n: int, registers: Sequence[int]) -> Iterable[_Planes]:
-    """All nontrivial operators supported inside the given registers, as
-    bit-planes, in ascending canonical-key order.
-
-    The key's base-d^2 digit of a site is x + d*z and the first register is
-    least significant.  Each half of the registers is tabulated once (table
-    index = that half's key) and each high-half entry is combined with the
-    whole low-half table in turn, so memory stays near the square root of
-    the candidate count and each candidate costs four ORs."""
-    sites = sorted(registers)
-
-    def table(part: Sequence[int]) -> list[_Planes]:
-        rows = [_Planes(0, 0, 0, 0)]
-        for site in part:
-            bit = 1 << site
-            rows = [
-                _Planes(
-                    x1 | bit * (xe == 1),
-                    x2 | bit * (xe == 2),
-                    z1 | bit * (ze == 1),
-                    z2 | bit * (ze == 2),
-                )
-                for ze in range(d)
-                for xe in range(d)
-                for x1, x2, z1, z2 in rows
-            ]
-        return rows
-
-    half = len(sites) // 2
-    low = table(sites[:half])
-    for i, (hx1, hx2, hz1, hz2) in enumerate(table(sites[half:])):
-        for x1, x2, z1, z2 in low if i else low[1:]:
-            yield _Planes(hx1 | x1, hx2 | x2, hz1 | z1, hz2 | z2)
-
-
 def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]:
     """Maximal list of operators supported inside the discarded registers,
     each commuting with the stabilizer and with all earlier picks, each
-    independent of the span so far.
+    independent of the span so far: what a scan of every candidate in
+    ascending canonical-key order keeps
+    (``prop_checks.complete_discard_reference``), found by row reduction.
 
-    Candidates are scanned once in ascending canonical-key order; a rejected
-    candidate can never become addable later (constraints only accumulate),
-    so the single pass reaches the fixpoint.  Candidates stay packed: only
-    one that commutes with every generator and earlier pick becomes a
-    PauliVec for the membership test.
+    Local coordinates put x of the j-th discarded register (ascending) at
+    column 2j and z at 2j + 1, so keys compare columns from the highest
+    down.  V, the operators there commuting with the current generators,
+    is the nullspace of one constraint row per generator.  The rows'
+    pivots are their lowest columns, so V's fully reduced basis has one
+    vector per free column f: 1 at f, 0 at the other free columns, nothing
+    above f.  An element of V is led by its highest nonzero free column,
+    and the least element led by f is f's basis vector.  So the least key
+    among the elements of V outside the span, which is the scan's next
+    pick as a rejected candidate stays rejected, is the first basis vector
+    outside the span.  After a pick at f every element of the new V led by
+    a column up to f lies in the new span: the search resumes at f + 1.
     """
     registers = frozenset(discard)
     if not registers:
@@ -232,17 +205,61 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
     if any(not 0 <= r < s.n for r in registers):
         raise ValueError("discard register out of range")
     d, n = s.d, s.n
-    added: list[PauliVec] = []
-    current = s
-    for cand in _candidates_on(d, n, registers):
-        if any(_product(cand, g, d) for g in current.gens):
+    sites = list(enumerate(sorted(registers)))
+
+    def constraint(g: PauliVec) -> tuple[int, int]:
+        # <g, u> = g.x . u.z - g.z . u.x: x column 2j holds -g.z at the
+        # j-th site and z column 2j + 1 holds g.x; -g.z swaps the d=3 planes.
+        z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
+        one = two = 0
+        for j, r in sites:
+            one |= (z1 >> r & 1) << 2 * j | (g.x1 >> r & 1) << 2 * j + 1
+            two |= (z2 >> r & 1) << 2 * j | (g.x2 >> r & 1) << 2 * j + 1
+        return one, two
+
+    def spread(plane: int) -> int:
+        """A local plane as a row plane: x at bit r, z at bit n + r."""
+        row = 0
+        for j, r in sites:
+            row |= (plane >> 2 * j & 1) << r | (plane >> 2 * j + 1 & 1) << n + r
+        return row
+
+    constraints = Echelon(d)
+    for g in s.gens:
+        constraints = constraints.insert(*constraint(g)) or constraints
+    span, added, start = s._rows, [], 0
+    while True:
+        for one, two in _nullspace(constraints, 2 * len(sites), start):
+            row = spread(one), spread(two)
+            grown = span.insert(*row)
+            if grown is not None:
+                break
+        else:
+            return added
+        op = _operator(d, n, *row)
+        added.append(op)
+        span, start = grown, one.bit_length()
+        constraints = constraints.insert(*constraint(op)) or constraints
+
+
+def _nullspace(rows: Echelon, width: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """Basis of the vectors of ``width`` columns that the rows annihilate,
+    packed: one vector per free column from ``start`` on, ascending."""
+    d = rows.d
+    # The rows are fully reduced, so back-substitution reads directly: the
+    # vector of free column f holds 1 there and -row[f] at each row's pivot.
+    pivots = sum(pivot for pivot, _, _ in rows.rows)
+    for free in range(start, width):
+        bit = 1 << free
+        if bit & pivots:
             continue
-        op = PauliVec(d, n, _unpack(n, cand.x1, cand.x2), _unpack(n, cand.z1, cand.z2))
-        grown = current._grown(op)
-        if grown is not None:
-            current = grown
-            added.append(op)
-    return added
+        one, two = bit, 0
+        for pivot, r1, r2 in rows.rows:
+            if r2 & bit or r1 & bit and d == 2:  # -row[f] is 1
+                one |= pivot
+            elif r1 & bit:  # -1 is 2 for d=3
+                two |= pivot
+        yield one, two
 
 
 def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
@@ -256,22 +273,7 @@ def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
         # -g.z is g.z for d=2; for d=3 negation swaps the planes.
         z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
         rows = rows.insert(z1 | g.x1 << n, z2 | g.x2 << n) or rows
-    # The rows are fully reduced, so back-substitution reads directly: the
-    # vector of free column f holds 1 there and -row[f] at each row's pivot.
-    pivots = sum(pivot for pivot, _, _ in rows.rows)
-    basis = []
-    for free in range(2 * n):
-        bit = 1 << free
-        if bit & pivots:
-            continue
-        one, two = bit, 0
-        for pivot, r1, r2 in rows.rows:
-            if r2 & bit or r1 & bit and d == 2:  # -row[f] is 1
-                one |= pivot
-            elif r1 & bit:  # -1 is 2 for d=3
-                two |= pivot
-        basis.append((one, two))
-    return basis
+    return list(_nullspace(rows, 2 * n))
 
 
 def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:

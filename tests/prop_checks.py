@@ -29,7 +29,7 @@ from twep.engine import (
     simulate,
 )
 from twep.errorspace import base_errors, enumerate_errors, filter_by_outcome
-from twep.pauli import PauliVec, inverse, multiply, parse, symplectic_product, weight
+from twep.pauli import PauliVec, multiply, parse, symplectic_product, weight
 from twep.protocols import hamming_family, nine_pair, qutrit_four, six_pair
 from twep.stabilizer import DISCARD_MAX_REGISTERS, SizeLimitError, StabilizerSet
 
@@ -40,6 +40,14 @@ def _random_pauli(rng: random.Random, d: int, n: int) -> PauliVec:
         n,
         tuple(rng.randrange(d) for _ in range(n)),
         tuple(rng.randrange(d) for _ in range(n)),
+    )
+
+
+def inverse(p: PauliVec) -> PauliVec:
+    """Phaseless inverse: exponents scaled by d-1 (for d=2 the operator itself)."""
+    d = p.d
+    return PauliVec(
+        d, p.n, tuple((d - 1) * a % d for a in p.x), tuple((d - 1) * a % d for a in p.z)
     )
 
 

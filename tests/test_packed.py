@@ -27,7 +27,7 @@ from twep.pauli import (
     symplectic_product,
     weight,
 )
-from twep.protocols import get, names
+from twep.protocols import get, hamming_family, names
 from twep.stabilizer import (
     SizeLimitError,
     StabilizerSet,
@@ -149,17 +149,27 @@ def _raised(fn, *args):
 )
 def test_complete_discard_matches_the_candidate_scan(d, n):
     """Seeded random stabilizers of every rank, every nonempty register set
-    of at most three registers."""
+    of at most four registers."""
     rng = random.Random(f"discard-{d}-{n}")
     for rank in range(n + 1):
         s = random_stabilizer(rng, d, n, rank)
-        for size in range(1, min(3, n) + 1):
+        for size in range(1, min(4, n) + 1):
             for registers in combinations(range(n), size):
                 got = complete_discard(s, registers)
                 assert got == complete_discard_reference(s, registers)
 
 
+def test_complete_discard_matches_the_candidate_scan_on_eight_qubits():
+    rng = random.Random("discard-2-10-8")
+    s = random_stabilizer(rng, 2, 10, 5)
+    registers = sorted(rng.sample(range(10), 8))
+    got = complete_discard(s, registers)
+    assert got and got == complete_discard_reference(s, registers)
+
+
 def test_complete_discard_matches_on_the_registry_discards(monkeypatch):
+    """Every discard of the registry protocols and of Hamming bisection at
+    m = 6 and 7."""
     calls = []
     original = engine.complete_discard
 
@@ -168,8 +178,11 @@ def test_complete_discard_matches_on_the_registry_discards(monkeypatch):
         return original(s, registers)
 
     monkeypatch.setattr(engine, "complete_discard", recording)
-    for name in names():
-        verify(get(name).strategy)
+    for strategy in [get(name).strategy for name in names()] + [
+        hamming_family(6),
+        hamming_family(7),
+    ]:
+        verify(strategy)
     assert calls
     for s, registers in calls:
         assert complete_discard(s, registers) == complete_discard_reference(

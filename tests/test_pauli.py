@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from prop_checks import inverse
 
 from twep.pauli import (
     DimensionMismatchError,
     PauliSyntaxError,
     PauliVec,
     canonical_key,
-    inverse,
     multiply,
     parse,
     render,

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prop_checks
-from prop_checks import random_wide_stabilizer
+from prop_checks import inverse, random_wide_stabilizer
 from twep.errorspace import ErrorSet, coset_classes
-from twep.pauli import PauliVec, inverse, multiply
+from twep.pauli import PauliVec, multiply
 from twep.stabilizer import (
     StabilizerSet,
     min_normalizer_weight,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -164,6 +165,26 @@ class TestCompleteDiscard:
                 assert not (
                     grown.in_normalizer(cand) and not grown.is_member(cand)
                 )
+
+    def test_nine_qutrit_registers_complete_to_single_x_at_once(self):
+        start = time.perf_counter()
+        added = complete_discard(StabilizerSet(3, 9), range(9))
+        elapsed = time.perf_counter() - start
+        assert added == [PauliVec.from_sites(3, 9, {i: (1, 0)}) for i in range(9)]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("rank", [1, 4, 6])
+    def test_nine_qutrit_completion_reaches_fixpoint(self, rank):
+        rng = random.Random(f"nine-qutrits-{rank}")
+        s = random_stabilizer(rng, 3, 9, rank)
+        for discard in (range(9), sorted(rng.sample(range(9), 6))):
+            grown = s
+            for p in complete_discard(s, discard):
+                grown = grown.extend(p)
+            assert complete_discard(grown, discard) == []
+            if len(discard) == 9:
+                # Discarding every register leaves a maximal stabilizer.
+                assert grown.rank == 9
 
     def test_rejects_oversized_region(self):
         s = StabilizerSet(2, 12)

@@ -188,6 +188,13 @@ def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
         (Discard(frozenset(range(10))), "IllegalDiscard: discard of 10 registers"),
         (Discard(frozenset()), "IllegalDiscard: discard of no registers"),
         (Discard(frozenset({3, 10, -1})), "IllegalDiscard: discard registers [-1, 10]"),
+        (Discard(frozenset({1.5})), "IllegalDiscard: discard registers 1.5 are not"),
+        (Discard(frozenset({"a"})), "IllegalDiscard: discard registers 'a' are not"),
+        (
+            Discard(frozenset({2, "a", 1.5, 12})),
+            "IllegalDiscard: discard registers 'a', 1.5 are not integers",
+        ),
+        (Discard(5), "IllegalDiscard: discard registers 5 are not a set of integers"),
     ],
     ids=[
         "wrong-n-operator",
@@ -196,6 +203,10 @@ def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
         "oversized-discard",
         "empty-discard",
         "out-of-range-discard",
+        "float-register",
+        "text-register",
+        "mixed-registers",
+        "non-iterable-registers",
     ],
 )
 def test_strategy_faults_become_counterexamples_like_the_oracle(step, reason):
