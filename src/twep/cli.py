@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -17,8 +18,8 @@ from . import bounds as bounds_mod
 from . import protocols, synth
 from .engine import verify as engine_verify
 from .engine import simulate as engine_simulate
-from .errorspace import DEFAULT_CAP, CapExceededError, check_size
-from .pauli import PauliSyntaxError, parse, render, weight
+from .errorspace import CapExceededError, check_size
+from .pauli import PauliSyntaxError, parse, weight
 from .stabilizer import SizeLimitError
 
 def _fail(message: str, code: int):
@@ -34,7 +35,7 @@ def _emit(text: str, output: str | None):
         click.echo(text, nl=False)
 
 
-def _get_protocol(name: str, m: int | None = None, cap: int = DEFAULT_CAP):
+def _get_protocol(name: str, m: int | None = None):
     if name == "hamming":
         if m is None:
             _fail("protocol 'hamming' needs --m", 2)
@@ -42,7 +43,7 @@ def _get_protocol(name: str, m: int | None = None, cap: int = DEFAULT_CAP):
             _fail("--m must be at least 3", 2)
         try:
             # Gate before the family builds its operators on 2^m - 1 pairs.
-            check_size(2**m - 1, 1, 2, cap)
+            check_size(2**m - 1, 1, 2)
         except CapExceededError as exc:
             _fail(str(exc), 2)
         return protocols.NamedProtocol(
@@ -83,12 +84,11 @@ def main():
 @main.command()
 @click.argument("protocol")
 @click.option("--m", "m", type=int, default=None, help="family size for 'hamming'")
-@click.option("--cap", type=int, default=DEFAULT_CAP, help="error-enumeration cap")
-def verify(protocol: str, m: int | None, cap: int):
+def verify(protocol: str, m: int | None):
     """Exhaustively verify a registered protocol."""
-    named = _get_protocol(protocol, m, cap)
+    named = _get_protocol(protocol, m)
     try:
-        report = engine_verify(named.strategy, cap=cap)
+        report = engine_verify(named.strategy)
     except CapExceededError as exc:
         _fail(str(exc), 2)
     click.echo(report.to_text(), nl=False)
@@ -119,35 +119,22 @@ def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
     # Demo view of the classical exchange: one party's raw results are fixed
     # to 0, the other's then carry the parity offset of the operator (its
     # count of sites acting on both components) plus the outcome.
-    lines = []
-    for op, outcome in transcript.history.entries:
+    records = transcript.to_records()
+    for record, (op, outcome) in zip(records, transcript.history.entries):
         offset = sum(xe * ze for xe, ze in zip(op.x, op.z)) % op.d
-        lines.append(
-            json.dumps(
-                {
-                    "op": render(op),
-                    "outcome": outcome,
-                    "alice": 0,
-                    "bob": (offset + outcome) % op.d,
-                }
-            )
-        )
-    lines.append(
-        json.dumps({"correction": render(transcript.correction), "k_out": transcript.k_out})
-    )
-    click.echo("\n".join(lines))
+        record.update(alice=0, bob=(offset + outcome) % op.d)
+    click.echo("\n".join(map(json.dumps, records)))
 
 
 @main.command()
 @click.option("--n", "n", type=int, required=True)
 @click.option("--t", "t", type=int, required=True)
-@click.option("--cap", type=int, default=DEFAULT_CAP)
-def greedy(n: int, t: int, cap: int):
+def greedy(n: int, t: int):
     """Synthesize the greedy strategy for (n, t) and verify it exhaustively."""
     if n < 1 or not 0 <= t <= n:
         _fail(f"greedy needs --n >= 1 and 0 <= --t <= --n, got n={n}, t={t}", 2)
     try:
-        report, stats = synth.greedy_step_stats(n, t, cap=cap)
+        report, stats = synth.greedy_step_stats(n, t)
     except (SizeLimitError, CapExceededError) as exc:
         _fail(str(exc), 2)
     payload = report.to_dict()
@@ -179,18 +166,7 @@ def bounds(n_range: str, t_range: str, fmt: str, output: str | None):
     if fmt == "csv":
         _emit(bounds_mod.bounds_csv(rows), output)
     else:
-        payload = [
-            {
-                "n": r.n,
-                "t": r.t,
-                "hamming_k": r.hamming_k,
-                "singleton_k": r.singleton_k,
-                "gv_k": r.gv_k,
-                "thm2_k": r.thm2_k,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", output)
+        _emit(json.dumps(list(map(asdict, rows)), indent=2) + "\n", output)
 
 
 @main.command()
@@ -205,11 +181,7 @@ def rates(points: int, fmt: str, output: str | None):
     if fmt == "csv":
         _emit(bounds_mod.rates_csv(table), output)
     else:
-        payload = [
-            {"x": p.x, "rate_2epp": p.rate_2epp, "rate_gv": p.rate_gv, "h": p.h}
-            for p in table
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", output)
+        _emit(json.dumps(list(map(asdict, table)), indent=2) + "\n", output)
 
 
 @main.command()

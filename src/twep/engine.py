@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from . import errorspace
-from .errorspace import DEFAULT_CAP, ErrorSet, coset_classes, filter_by_outcome
+from .errorspace import ErrorSet, coset_classes, filter_by_outcome
 # multiply is unused here; perfbench's tracer wraps ``engine.multiply``.
 from .pauli import PauliVec, multiply, render, symplectic_product, weight
 from .stabilizer import DISCARD_MAX_REGISTERS, StabilizerSet, complete_discard
@@ -270,10 +270,12 @@ def generic_correction(
     return partition.representatives[0]
 
 
-def _check_step(step: Step, s: StabilizerSet) -> Optional[StabilizerSet]:
+def _check_step(step: Step, s: StabilizerSet) -> StabilizerSet | frozenset[int] | None:
     """Raise the ProtocolError a Measure or Discard step commits against the
     stabilizer s, before the step runs; other steps pass unchecked.  A legal
-    Measure returns s grown by its operator, which is reduced only once."""
+    Measure returns s grown by its operator, which is reduced only once.  A
+    legal Discard returns its registers as a frozenset: ``step.registers`` is
+    read only here, so it may be a one-shot iterator."""
     if isinstance(step, Measure):
         op = step.op
         if not isinstance(op, PauliVec):
@@ -315,6 +317,7 @@ def _check_step(step: Step, s: StabilizerSet) -> Optional[StabilizerSet]:
         outside = sorted(r for r in registers if not 0 <= r < s.n)
         if outside:
             raise IllegalDiscard(f"discard registers {outside} lie outside 0..{s.n - 1}")
+        return registers
 
 
 def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
@@ -335,18 +338,18 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
                 f"strategy exceeded {2 * strategy.n} consultations"
             )
         step = strategy.next(history)
-        grown = _check_step(step, s)
+        checked = _check_step(step, s)
         if isinstance(step, Measure):
             op = step.op
             outcome = symplectic_product(op, hidden)
             history = history.with_entry(op, outcome)
-            s = grown
+            s = checked
         elif isinstance(step, Discard):
-            for op in complete_discard(s, step.registers):
+            for op in complete_discard(s, checked):
                 outcome = symplectic_product(op, hidden)
                 history = history.with_entry(op, outcome)
                 s = s.extend(op)
-            history = history.with_discard(step.registers)
+            history = history.with_discard(checked)
         elif isinstance(step, Finish):
             correction = generic_correction(s, history, strategy.t, strategy.d)
             return Transcript(
@@ -359,7 +362,7 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
             raise TypeError(f"strategy returned {step!r}, not a Step")
 
 
-def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
+def verify(strategy: Strategy) -> Report:
     """Check the strategy against every error of weight <= t (identity
     included) by one walk over its outcome tree.
 
@@ -384,7 +387,7 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
     error.  Counterexamples come out in the deterministic enumeration order.
     """
     d, n = strategy.d, strategy.n
-    members = errorspace.enumerate_errors(n, strategy.t, d, cap).members
+    members = errorspace.base_errors(d, n, strategy.t).members
     found: list[Optional[Counterexample]] = [None] * len(members)
     k_values: list[int] = []
     completions: dict[tuple, tuple[list[PauliVec], StabilizerSet]] = {}
@@ -403,14 +406,15 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
             if consultations > 2 * n:
                 raise NonTerminationError(f"strategy exceeded {2 * n} consultations")
             step = strategy.next(history)
-            grown = _check_step(step, s)
+            checked = _check_step(step, s)
             if isinstance(step, Measure):
-                added = [step.op]
+                added, grown = [step.op], checked
             elif isinstance(step, Discard):
-                key = (s.gens, frozenset(step.registers))
+                registers = checked
+                key = (s.gens, registers)
                 completed = completions.get(key)
                 if completed is None:
-                    added = complete_discard(s, key[1])
+                    added = complete_discard(s, registers)
                     grown = s
                     for op in added:
                         grown = grown.extend(op)
@@ -452,7 +456,7 @@ def verify(strategy: Strategy, cap: int = DEFAULT_CAP) -> Report:
                 for outcome, part in split(op, idx)
             ]
         if isinstance(step, Discard):
-            branches = [(h.with_discard(step.registers), idx) for h, idx in branches]
+            branches = [(h.with_discard(registers), idx) for h, idx in branches]
         for h, idx in branches:
             heapq.heappush(frontier, (idx[0], consultations, h, grown, idx))
 

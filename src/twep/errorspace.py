@@ -16,8 +16,6 @@ from math import comb
 from .pauli import PauliVec, canonical_key, symplectic_product, weight
 from .stabilizer import StabilizerSet
 
-DEFAULT_CAP = 10_000_000
-
 # A verification walk peaks at about 22 bytes per site entry (n entries per
 # error): 2^24 entries, about 350 MB, admit hamming m = 11 (n·|E| = 12.6 M)
 # and reject m = 12 (50.3 M).
@@ -26,13 +24,12 @@ BYTES_PER_SITE_ENTRY = 22
 
 
 class CapExceededError(ValueError):
-    """Requested enumeration larger than the configured cap, or holding more
-    than MAX_SITE_ENTRIES site entries."""
+    """Requested enumeration of ``count`` errors holds more than
+    MAX_SITE_ENTRIES site entries."""
 
-    def __init__(self, count: int, cap: int, message: str = ""):
-        super().__init__(message or f"enumeration of {count} errors exceeds cap {cap}")
+    def __init__(self, count: int, message: str):
+        super().__init__(message)
         self.count = count
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -57,30 +54,28 @@ def count_errors(n: int, t: int, d: int = 2) -> int:
     return sum(per_site**j * comb(n, j) for j in range(0, t + 1))
 
 
-def check_size(n: int, t: int, d: int = 2, cap: int = DEFAULT_CAP) -> None:
+def check_size(n: int, t: int, d: int = 2) -> None:
     """Raise CapExceededError unless the errors of weight <= t on n
-    registers number at most cap and hold at most MAX_SITE_ENTRIES site
-    entries (n·|E|), so nothing is built that cannot fit in memory."""
+    registers hold at most MAX_SITE_ENTRIES site entries (n·|E|), so nothing
+    is built that cannot fit in memory.  This is the one size gate on an
+    enumeration; it also bounds the error count, to 2^23 for n >= 2."""
     total = count_errors(n, t, d)
-    if total > cap:
-        raise CapExceededError(total, cap)
     entries = n * total
     if entries > MAX_SITE_ENTRIES:
         raise CapExceededError(
             total,
-            cap,
             f"enumeration of {total} errors on {n} registers holds {entries} site"
             f" entries, about {entries * BYTES_PER_SITE_ENTRY >> 20} MB; the limit"
             f" is {MAX_SITE_ENTRIES} entries",
         )
 
 
-def enumerate_errors(n: int, t: int, d: int = 2, cap: int = DEFAULT_CAP) -> ErrorSet:
+def enumerate_errors(n: int, t: int, d: int = 2) -> ErrorSet:
     """All phaseless errors of weight <= t, identity first, deterministic
     order by weight then canonical key."""
     if t > n:
         raise ValueError(f"weight bound t={t} exceeds register count n={n}")
-    check_size(n, t, d, cap)
+    check_size(n, t, d)
     nonzero = [(x, z) for x in range(d) for z in range(d) if x or z]
     members: list[PauliVec] = []
     for w in range(0, t + 1):
@@ -138,6 +133,7 @@ def coset_classes(errors: ErrorSet, s: StabilizerSet) -> CosetPartition:
 
 
 @lru_cache(maxsize=64)
-def base_errors(d: int, n: int, t: int, cap: int = DEFAULT_CAP) -> ErrorSet:
-    """Cached weight-bounded enumeration; the engine filters copies of this."""
-    return enumerate_errors(n, t, d, cap)
+def base_errors(d: int, n: int, t: int) -> ErrorSet:
+    """Cached weight-bounded enumeration, the one every verification,
+    correction and synthesis reads; the engine filters copies of this."""
+    return enumerate_errors(n, t, d)

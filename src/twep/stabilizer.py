@@ -13,11 +13,11 @@ dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from ._kernels import Echelon
+# multiply is unused here; perfbench's tracer wraps ``stabilizer.multiply``.
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
@@ -163,15 +163,6 @@ class StabilizerSet:
     def logical_count(self) -> int:
         """Number of unconstrained register pairs: n minus the rank."""
         return self.n - self.rank
-
-    def span_elements(self) -> Iterable[PauliVec]:
-        """Every element of the generated group (d^rank of them)."""
-        for coeffs in _iter_product(range(self.d), repeat=len(self.gens)):
-            op = PauliVec.identity(self.d, self.n)
-            for c, g in zip(coeffs, self.gens):
-                for _ in range(c):
-                    op = multiply(op, g)
-            yield op
 
 
 def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]:

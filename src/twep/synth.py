@@ -19,7 +19,6 @@ split no candidate can beat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import NamedTuple
 
 from . import _kernels
@@ -34,20 +33,15 @@ from .engine import (
     verify,
 )
 from .errorspace import (
-    DEFAULT_CAP,
     ErrorSet,
     base_errors,
     coset_classes,
     count_errors,
     filter_by_outcome,
 )
+# multiply is unused here; perfbench's tracer wraps ``synth.multiply``.
 from .pauli import PauliVec, multiply, symplectic_product
-from .stabilizer import (
-    SizeLimitError,
-    StabilizerSet,
-    _complement_rows,
-    normalizer_complement_basis,
-)
+from .stabilizer import SizeLimitError, StabilizerSet, _complement_rows
 
 SCAN_MAX_N = 10
 
@@ -124,7 +118,7 @@ class _Node(NamedTuple):
     counts: tuple[int, ...]
 
 
-def _synthesize(n: int, t: int, cap: int) -> tuple[Strategy, dict[tuple, _Node]]:
+def _synthesize(n: int, t: int) -> tuple[Strategy, dict[tuple, _Node]]:
     """The greedy strategy and its decision tree, keyed by history entries.
 
     One recursive bisection from the root: a node whose survivors admit no
@@ -138,10 +132,7 @@ def _synthesize(n: int, t: int, cap: int) -> tuple[Strategy, dict[tuple, _Node]]
         )
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
-    total = count_errors(n, t, 2)
-    if total > cap:
-        raise SizeLimitError(f"greedy synthesis over {total} errors exceeds cap {cap}")
-    base = base_errors(2, n, t, cap)
+    base = base_errors(2, n, t)
     position = {e: i for i, e in enumerate(base.members)}
     tree: dict[tuple, _Node] = {}
 
@@ -167,14 +158,14 @@ def _synthesize(n: int, t: int, cap: int) -> tuple[Strategy, dict[tuple, _Node]]
     return strategy, tree
 
 
-def greedy_strategy(n: int, t: int, cap: int = DEFAULT_CAP) -> Strategy:
+def greedy_strategy(n: int, t: int) -> Strategy:
     """Strategy that measures the best splitter of the surviving errors until
     they share one coset.
 
     The whole decision tree is built up front, so the step function is a
     lookup; it answers every history a weight-<=t error can reach and no
     other.  Needs n >= 1 and 0 <= t <= n (ValueError otherwise)."""
-    return _synthesize(n, t, cap)[0]
+    return _synthesize(n, t)[0]
 
 
 @dataclass(frozen=True)
@@ -193,15 +184,15 @@ def _balanced(max_side: int, total: int) -> bool:
     return excess <= 0 or excess * excess < total
 
 
-def greedy_step_stats(n: int, t: int, cap: int = DEFAULT_CAP):
+def greedy_step_stats(n: int, t: int):
     """Verify the greedy strategy and read its step counts and per-step split
     balance from its tree.  Returns (report, stats).
 
     ``max_steps`` is the depth of the deepest Finish node.  A Measure node
     whose split is unbalanced is listed once per child it has, ordered by
     the enumeration index of the child's first survivor, then by depth."""
-    strategy, tree = _synthesize(n, t, cap)
-    report = verify(strategy, cap=cap)
+    strategy, tree = _synthesize(n, t)
+    report = verify(strategy)
     violations = []
     for key, node in tree.items():
         if not node.counts or _balanced(max(node.counts), sum(node.counts)):
@@ -222,26 +213,3 @@ def greedy_step_stats(n: int, t: int, cap: int = DEFAULT_CAP):
         balance_violations=tuple(line for _, _, line in violations),
     )
     return report, stats
-
-
-def average_separated_pairs(s: StabilizerSet, errors: ErrorSet) -> float:
-    """Mean separated-pair count over every commuting independent operator;
-    used to check the averaging argument on small instances."""
-    complement = normalizer_complement_basis(s)
-    if not complement or len(errors.members) < 2:
-        raise ValueError("nothing to average")
-    span = list(s.span_elements())
-    total = 0
-    count = 0
-    for coeffs in _iter_product(range(2), repeat=len(complement)):
-        if not any(coeffs):
-            continue
-        base = PauliVec.identity(2, s.n)
-        for c, vec in zip(coeffs, complement):
-            if c:
-                base = multiply(base, vec)
-        for element in span:
-            split = split_counts(multiply(base, element), errors)
-            total += split.separated_pairs
-            count += 1
-    return total / count

@@ -28,10 +28,16 @@ from twep.engine import (
     Transcript,
     simulate,
 )
-from twep.errorspace import base_errors, enumerate_errors, filter_by_outcome
+from twep.errorspace import ErrorSet, base_errors, enumerate_errors, filter_by_outcome
 from twep.pauli import PauliVec, multiply, parse, symplectic_product, weight
 from twep.protocols import hamming_family, nine_pair, qutrit_four, six_pair
-from twep.stabilizer import DISCARD_MAX_REGISTERS, SizeLimitError, StabilizerSet
+from twep.stabilizer import (
+    DISCARD_MAX_REGISTERS,
+    SizeLimitError,
+    StabilizerSet,
+    normalizer_complement_basis,
+)
+from twep.synth import split_counts
 
 
 def _random_pauli(rng: random.Random, d: int, n: int) -> PauliVec:
@@ -430,6 +436,39 @@ def check_candidate_set_oracle() -> str:
     return f"{checked} simulation prefixes against the brute-force candidate set"
 
 
+def span_elements(s: StabilizerSet):
+    """Every element of the group s generates (d^rank of them)."""
+    for coeffs in product(range(s.d), repeat=len(s.gens)):
+        op = PauliVec.identity(s.d, s.n)
+        for c, g in zip(coeffs, s.gens):
+            for _ in range(c):
+                op = multiply(op, g)
+        yield op
+
+
+def average_separated_pairs(s: StabilizerSet, errors: ErrorSet) -> float:
+    """Mean separated-pair count over every commuting independent operator;
+    used to check the averaging argument on small instances."""
+    complement = normalizer_complement_basis(s)
+    if not complement or len(errors.members) < 2:
+        raise ValueError("nothing to average")
+    span = list(span_elements(s))
+    total = 0
+    count = 0
+    for coeffs in product(range(2), repeat=len(complement)):
+        if not any(coeffs):
+            continue
+        base = PauliVec.identity(2, s.n)
+        for c, vec in zip(coeffs, complement):
+            if c:
+                base = multiply(base, vec)
+        for element in span:
+            split = split_counts(multiply(base, element), errors)
+            total += split.separated_pairs
+            count += 1
+    return total / count
+
+
 def check_half_separation(max_n: int = 4) -> str:
     """Exactly half the normalizer separates any pair of errors differing by
     something outside the stabilizer; nothing in the stabilizer separates."""
@@ -443,7 +482,7 @@ def check_half_separation(max_n: int = 4) -> str:
     for n in range(1, max_n + 1):
         for gens in cases[n]:
             s = StabilizerSet(2, n, [parse(g, 2) for g in gens])
-            span = set(s.span_elements())
+            span = set(span_elements(s))
             normalizer = [
                 p
                 for p in _all_paulis(2, n)

@@ -1,5 +1,5 @@
-"""The summary arithmetic of ``tools/bench_pair.py``, on fixed numbers; no
-benchmark runs."""
+"""The summary arithmetic and line count of ``tools/bench_pair.py``, on fixed
+numbers and files; no benchmark runs."""
 
 from __future__ import annotations
 
@@ -72,3 +72,16 @@ def test_layer_changes_of_one_traced_run_per_side():
     # A zero parent value has no relative change; a missing metric reads 0.
     assert out["failed"] == {"parent": 0, "change": 0}
     assert out["new.calls"] == {"parent": 0, "change": 3}
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "twep"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nfour\nfive\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("not counted\n")
+    assert bench_pair.src_lines(tmp_path) == 5
+    assert bench_pair.src_lines(tmp_path / "tests") == 0

@@ -230,7 +230,7 @@ class TestGoldenStdout:
 
 class TestSizeGates:
     @pytest.mark.parametrize(
-        "m, message", [(16, "12884574210 site entries"), (40, "exceeds cap")]
+        "m, message", [(16, "12884574210 site entries"), (40, "site entries")]
     )
     def test_huge_hamming_exits_two_before_building(self, runner, m, message):
         start = time.perf_counter()
@@ -239,6 +239,18 @@ class TestSizeGates:
         assert result.exit_code == 2
         assert len(result.stderr.splitlines()) == 1
         assert message in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", "six-pair", "--cap", "5"], ["greedy", "--n", "5", "--t", "1", "--cap", "5"]],
+        ids=["verify", "greedy"],
+    )
+    def test_cap_option_is_a_usage_error(self, runner, args):
+        """The site-entry gate is the only size limit; there is no --cap."""
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "No such option '--cap'" in result.stderr
 
     @pytest.mark.parametrize("n, t", [(0, 0), (-1, 0), (3, 5), (3, -1)])
     def test_bad_greedy_parameters_exit_two(self, runner, n, t):

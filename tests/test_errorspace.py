@@ -41,16 +41,33 @@ class TestCounting:
                     got = enumerate_errors(n, t, d)
                     assert len(got.members) == count_errors(n, t, d), (n, t, d)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        """The site-entry gate refuses before any error is built."""
+
+        def built(*args):
+            raise AssertionError("an error was built")
+
+        monkeypatch.setattr(PauliVec, "from_sites", built)
         with pytest.raises(CapExceededError) as err:
-            enumerate_errors(9, 2, 2, cap=100)
-        assert err.value.count == 352
+            enumerate_errors(2**12 - 1, 1)
+        assert err.value.count == 12286
 
     def test_site_entry_gate_admits_hamming_m11_and_rejects_m12(self):
         check_size(2**11 - 1, 1)
         with pytest.raises(CapExceededError, match="50311170 site entries"):
             check_size(2**12 - 1, 1)
         assert 127 * count_errors(127, 1) <= MAX_SITE_ENTRIES
+        # The gate refuses exactly where n·|E| passes the limit.
+        for d in (2, 3):
+            for n in range(65):
+                for t in range(n + 1):
+                    total = count_errors(n, t, d)
+                    if n * total > MAX_SITE_ENTRIES:
+                        with pytest.raises(CapExceededError) as err:
+                            check_size(n, t, d)
+                        assert err.value.count == total
+                    else:
+                        check_size(n, t, d)
 
 
 class TestEnumerationOrder:

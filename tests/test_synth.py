@@ -7,7 +7,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from prop_checks import random_stabilizer
+from prop_checks import average_separated_pairs, random_stabilizer
 
 from twep.bounds import mi_sequence
 from twep.engine import simulate
@@ -29,7 +29,6 @@ from twep.pauli import (
 from twep.stabilizer import SizeLimitError, StabilizerSet
 from twep.synth import (
     NoSeparatorError,
-    average_separated_pairs,
     choose_generator,
     greedy_step_stats,
     greedy_strategy,

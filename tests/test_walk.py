@@ -27,7 +27,7 @@ from twep.engine import (
     Strategy,
     verify,
 )
-from twep.errorspace import DEFAULT_CAP, count_errors, enumerate_errors
+from twep.errorspace import count_errors, enumerate_errors
 from twep.pauli import PauliVec, canonical_key, multiply, parse, symplectic_product
 from twep.protocols import get, hamming_family, names, nine_pair
 from twep.stabilizer import StabilizerSet, normalizer_complement_basis
@@ -245,6 +245,23 @@ def test_failing_report_text_matches_its_golden_fixture():
     assert_text_matches_json(report)
 
 
+def test_a_one_shot_discard_iterator_is_read_once():
+    """A Discard whose registers are a one-shot iterator is read once per
+    consultation, by walk and oracle alike, and verifies as the same
+    discard given as a frozenset.  Each consultation gets a fresh iterator:
+    a shared one would be used up by the first error."""
+
+    def discarding(registers):
+        def next_step(history):
+            return Finish() if history.discards else Discard(registers())
+
+        return Strategy(2, 4, 1, 0, next_step)
+
+    walked = assert_walk_matches_oracle(discarding(lambda: iter([1, 2])))
+    assert walked.errors_checked == count_errors(4, 1)
+    prop_checks.assert_same_report(walked, verify(discarding(lambda: frozenset({1, 2}))))
+
+
 def test_a_strategy_fault_fails_exactly_its_branch():
     strategy = branching(6, 1, "ZZIIII", (Finish(), Discard(frozenset({6}))))
     report = assert_walk_matches_oracle(strategy)
@@ -275,7 +292,7 @@ def test_each_history_is_consulted_once():
 def test_greedy_tree_is_consulted_once_per_node(n, t):
     """verify consults every node of greedy's tree exactly once, and
     consults no history outside it."""
-    strategy, tree = synth._synthesize(n, t, DEFAULT_CAP)
+    strategy, tree = synth._synthesize(n, t)
     seen: Counter = Counter()
 
     def counting(history):

@@ -25,6 +25,8 @@ parent's interquartile range.
 After the pairs, ``perfbench/run.py --trace 1`` runs once per side per
 workload, on the first seed; ``per_layer`` holds each of its metrics as
 the parent's value, the change's value and ``relative_change``.
+``src_lines`` holds the line count of ``src/twep/*.py`` in each tree and
+their difference, the change's net line count.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ def export_working_tree(target: Path) -> None:
             shutil.copy2(source, target / source)
 
 
+def src_lines(tree: Path) -> int:
+    """Line count (newlines, as ``wc -l`` counts them) of ``src/twep/*.py``."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/twep/*.py"))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> tuple[dict, dict]:
     """(metric values, run metadata) of one benchmark run."""
@@ -179,6 +186,8 @@ def main(argv=None) -> int:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
         export_parent(parent_commit, trees["parent"])
         export_working_tree(trees["change"])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        lines["net"] = lines["change"] - lines["parent"]
         pair = 0
         for workload in args.workload:
             for seed in args.seeds:
@@ -224,6 +233,7 @@ def main(argv=None) -> int:
         "per_layer_command": f"python3 perfbench/run.py --workload W --seed "
                              f"{args.seeds[0]} --seconds {args.seconds:g} --trace 1, "
                              f"once per side",
+        "src_lines": lines,
         "claimed": claimed,
         "end_to_end": end_to_end,
         "per_layer": {w: layer_changes(sides["parent"], sides["change"])
