@@ -131,7 +131,7 @@ def min_weight_excluding_span(
     x1, x2 = _columns([x for x, _ in xs], n), _columns([x for _, x in xs], n)
     z1, z2 = _columns([z for z, _ in zs], n), _columns([z for _, z in zs], n)
     # Syndrome rows of X and Z on each site, column j for basis operator j:
-    # <X_i, b> = b.z[i] and <Z_i, b> = -b.x[i], taken as b.x[i], since
+    # <X_i, b> = z_b[i] and <Z_i, b> = -x_b[i], taken as x_b[i], since
     # scaling a row leaves the row space as it is.
     site_rows = list(zip(z1, z2, x1, x2))
     span = (1 << len(span_x)) - 1

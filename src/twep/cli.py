@@ -117,11 +117,14 @@ def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
         click.echo(transcript.to_text(), nl=False)
         return
     # Demo view of the classical exchange: one party's raw results are fixed
-    # to 0, the other's then carry the parity offset of the operator (its
-    # count of sites acting on both components) plus the outcome.
+    # to 0, the other's then carry the parity offset of the operator (the
+    # sum of x[i]·z[i] over its sites, from the planes as in its symplectic
+    # product) plus the outcome.
     records = transcript.to_records()
     for record, (op, outcome) in zip(records, transcript.history.entries):
-        offset = sum(xe * ze for xe, ze in zip(op.x, op.z)) % op.d
+        offset = (op.x1 & op.z1 | op.x2 & op.z2).bit_count() + 2 * (
+            op.x1 & op.z2 | op.x2 & op.z1
+        ).bit_count()
         record.update(alice=0, bob=(offset + outcome) % op.d)
     click.echo("\n".join(map(json.dumps, records)))
 

@@ -14,8 +14,8 @@ Verification walks the strategy's outcome tree once.  The strategy sees
 only outcomes, so the errors of weight at most t that reach a node are
 exactly the candidates there: each Measure splits them by outcome, each
 Discard is completed once per distinct (stabilizer, registers) and split
-along the operators it adds, and each Finish classifies its errors into
-cosets once.  ``simulate`` runs one error at a time; it serves single runs
+along the operators it adds, and each Finish checks once that its errors
+share one coset.  ``simulate`` runs one error at a time; it serves single runs
 and is the oracle the tests compare the walk against.  A report passes
 only if every error ends with a consistent correction and enough certified
 pairs.  A step the strategy may not take (a measurement that is not a
@@ -36,8 +36,13 @@ from typing import Callable, Optional
 from . import errorspace
 from .errorspace import ErrorSet, coset_classes, filter_by_outcome
 # multiply is unused here; perfbench's tracer wraps ``engine.multiply``.
-from .pauli import PauliVec, multiply, render, symplectic_product, weight
-from .stabilizer import DISCARD_MAX_REGISTERS, StabilizerSet, complete_discard
+from .pauli import PauliVec, _product, multiply, render, symplectic_product, weight
+from .stabilizer import (
+    DISCARD_MAX_REGISTERS,
+    StabilizerSet,
+    _packed,
+    complete_discard,
+)
 
 
 class ProtocolError(Exception):
@@ -376,13 +381,21 @@ def verify(strategy: Strategy) -> Report:
     reaches them (least first error, then depth), so a fault that is not a
     ProtocolError propagates exactly where that loop would raise it.
 
+    A node splits its errors by outcome on their bit-planes, read once into
+    lists; for d=2 the commutation value is an inline popcount.  A Finish
+    leaf reduces each error's packed row modulo the stabilizer's row space
+    and requires every residue to equal the first error's: that is the
+    test ``coset_classes`` makes, which runs only to count the classes of
+    an UnsoundFinish.  The correction is the leaf's first error:
+    ``coset_classes`` would return the least member by (weight, canonical
+    key), the enumeration is strictly increasing in that order and a node's
+    indices are ascending.
+
     An error fails on a ProtocolError at a node on its path or on
     certifying fewer pairs than claimed.  The correction is not checked
     against each error, because it cannot differ from one by anything
-    outside the final stabilizer: ``coset_classes`` groups a Finish leaf's
-    errors by ``residue``, their linear projection modulo the stabilizer's
-    row space, the leaf is reached only if they form one class, and the
-    correction is a member of that class.  The per-error oracle
+    outside the final stabilizer: all of a leaf's errors share one residue
+    and the correction is one of them.  The per-error oracle
     ``prop_checks.verify_by_simulation`` still makes that check for every
     error.  Counterexamples come out in the deterministic enumeration order.
     """
@@ -392,10 +405,18 @@ def verify(strategy: Strategy) -> Report:
     k_values: list[int] = []
     completions: dict[tuple, tuple[list[PauliVec], StabilizerSet]] = {}
 
+    x1 = [e.x1 for e in members]
+    z1 = [e.z1 for e in members]
+
     def split(op: PauliVec, reached: tuple[int, ...]):
         parts: list[list[int]] = [[] for _ in range(d)]
-        for i in reached:
-            parts[symplectic_product(op, members[i])].append(i)
+        if d == 2:  # _product inlined on the precomputed planes
+            ox, oz = op.x1, op.z1
+            for i in reached:
+                parts[((ox & z1[i]) ^ (oz & x1[i])).bit_count() & 1].append(i)
+        else:
+            for i in reached:
+                parts[_product(op, members[i], d)].append(i)
         return [(outcome, tuple(part)) for outcome, part in enumerate(parts) if part]
 
     frontier = [(0, 0, History(), StabilizerSet(d, n), tuple(range(len(members))))]
@@ -421,12 +442,14 @@ def verify(strategy: Strategy) -> Report:
                     completed = completions[key] = added, grown
                 added, grown = completed
             elif isinstance(step, Finish):
-                survivors = ErrorSet(d, n, tuple(members[i] for i in reached))
-                partition = coset_classes(survivors, s)
-                if not partition.is_single_class:
+                reduce = s._rows.reduce
+                first = reduce(*_packed(members[reached[0]]))
+                if any(reduce(*_packed(members[i])) != first for i in reached[1:]):
+                    survivors = ErrorSet(d, n, tuple(members[i] for i in reached))
                     raise UnsoundFinish(
                         f"{len(reached)} surviving errors span "
-                        f"{len(partition.classes)} distinct cosets; finished too early"
+                        f"{len(coset_classes(survivors, s).classes)} distinct cosets;"
+                        " finished too early"
                     )
             else:
                 raise TypeError(f"strategy returned {step!r}, not a Step")
@@ -439,7 +462,7 @@ def verify(strategy: Strategy) -> Report:
             transcript = Transcript(
                 history=history,
                 final_stabilizer=s,
-                correction=partition.representatives[0],
+                correction=members[reached[0]],
                 k_out=s.logical_count(),
             )
             k_values.append(transcript.k_out)

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 from math import comb
 
-from .pauli import PauliVec, canonical_key, symplectic_product, weight
+from .pauli import PauliVec, _from_planes, canonical_key, symplectic_product, weight
 from .stabilizer import StabilizerSet
 
-# A verification walk peaks at about 22 bytes per site entry (n entries per
-# error): 2^24 entries, about 350 MB, admit hamming m = 11 (n·|E| = 12.6 M)
-# and reject m = 12 (50.3 M).
+# A verification walk peaks at about 2 bytes per site entry (n entries per
+# error): 21 MB at hamming m = 11 (n·|E| = 12.6 M), 16 MB of it the
+# interpreter.  2^24 entries, about 32 MB, admit m = 11 and reject m = 12
+# (50.3 M).
 MAX_SITE_ENTRIES = 1 << 24
-BYTES_PER_SITE_ENTRY = 22
+BYTES_PER_SITE_ENTRY = 2
 
 
 class CapExceededError(ValueError):
@@ -72,20 +72,35 @@ def check_size(n: int, t: int, d: int = 2) -> None:
 
 def enumerate_errors(n: int, t: int, d: int = 2) -> ErrorSet:
     """All phaseless errors of weight <= t, identity first, deterministic
-    order by weight then canonical key."""
+    order by weight then canonical key.
+
+    Keys compare the highest differing site first, so within one weight
+    the order is by top site, then the digit x + d*z there, then the
+    order of the rest, which lies on the sites below: the errors of weight
+    w with top site s are the ones of weight w - 1 on the sites below s,
+    in order, with each nonzero digit placed at s, in turn."""
     if t > n:
         raise ValueError(f"weight bound t={t} exceeds register count n={n}")
     check_size(n, t, d)
-    nonzero = [(x, z) for x in range(d) for z in range(d) if x or z]
-    members: list[PauliVec] = []
-    for w in range(0, t + 1):
-        batch = []
-        for support in combinations(range(n), w):
-            for digits in product(nonzero, repeat=w):
-                batch.append(PauliVec.from_sites(d, n, dict(zip(support, digits))))
-        batch.sort(key=canonical_key)
-        members.extend(batch)
-    return ErrorSet(d, n, tuple(members))
+    # Planes (x1, x2, z1, z2) of each nonzero site digit x + d*z, ascending.
+    digits = [(x == 1, x == 2, z == 1, z == 2) for z in range(d) for x in range(d)][1:]
+    # The planes of every error of the last weight, in order, and how many
+    # of them lie on the sites below s, for each s.
+    level, below = [(0, 0, 0, 0)], [1] * (n + 1)
+    planes = list(level)
+    for _ in range(t):
+        grown, counts = [], []
+        for s in range(n):
+            counts.append(len(grown))
+            for a1, a2, b1, b2 in digits:
+                a1, a2, b1, b2 = a1 << s, a2 << s, b1 << s, b2 << s
+                grown += [
+                    (x1 | a1, x2 | a2, z1 | b1, z2 | b2)
+                    for x1, x2, z1, z2 in level[: below[s]]
+                ]
+        level, below = grown, counts + [len(grown)]
+        planes += level
+    return ErrorSet(d, n, tuple(_from_planes(d, n, *p) for p in planes))
 
 
 def filter_by_outcome(errors: ErrorSet, m: PauliVec, outcome: int) -> ErrorSet:

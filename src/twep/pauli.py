@@ -9,10 +9,12 @@ Supported dimensions are the primes 2 and 3.  Text form for d=2 is a string
 over ``I X Y Z`` (``Y`` is the phaseless ``XZ``); for d=3 it is a
 comma-separated list of site tokens ``I X X2 Z Z2 XZ XZ2 X2Z X2Z2``.
 
-Every operator is also packed, once, at construction, into four bit-planes,
-one integer each, register i at bit i: bit i of ``x1`` (``x2``) is set iff
-``x[i]`` is 1 (2), and likewise ``z1`` and ``z2``; for d=2 the value-2
-planes are 0.  The commutation value of a and b in both dimensions is then
+An operator is stored as four bit-planes, one integer each, register i at
+bit i: bit i of ``x1`` (``x2``) is set iff ``x[i]`` is 1 (2), and likewise
+``z1`` and ``z2``; for d=2 the value-2 planes are 0.  Equality, hashing,
+products, weights, keys and text all read the planes; the tuples ``x`` and
+``z`` are unpacked from them on first read and then kept.  The commutation
+value of a and b in both dimensions is
 
     pop(a.x1&b.z1 | a.x2&b.z2) + 2·pop(a.x1&b.z2 | a.x2&b.z1)
     - (the same with x and z swapped)   (mod d)
@@ -25,17 +27,20 @@ as in Aaronson and Gottesman's packed tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
+from operator import attrgetter
+
+from ._kernels import _add3
 
 SUPPORTED_DIMENSIONS = (2, 3)
 _DIGITS = {d: frozenset(range(d)) for d in SUPPORTED_DIMENSIONS}
 
 # bytes.translate tables: exponent bytes to the ASCII bits of one plane,
-# ASCII bits back to bytes, and site digits to ASCII base-d^2 digits.
+# and ASCII bits back to bytes.
 _PLANE_ONE = bytes.maketrans(b"\0\1\2", b"010")
 _PLANE_TWO = bytes.maketrans(b"\0\1\2", b"001")
 _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
-_ASCII_DIGITS = bytes.maketrans(bytes(range(9)), b"012345678")
 
 # Site letter <-> exponent pair, d=2.  Y acts on both components.
 _QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -54,7 +59,8 @@ _QUTRIT_TOKENS = {
     "X2Z": (2, 1),
     "X2Z2": (2, 2),
 }
-_QUTRIT_RENDER = {v: k for k, v in _QUTRIT_TOKENS.items()}
+# Site digit x + 3z -> token, d=3.
+_QUTRIT_RENDER = sorted(_QUTRIT_TOKENS, key=lambda t: _QUTRIT_TOKENS[t][::-1])
 
 
 class DimensionMismatchError(ValueError):
@@ -69,19 +75,17 @@ class PauliSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class PauliVec:
-    """A phaseless Pauli operator as a symplectic vector over Z_d."""
+    """A phaseless Pauli operator as a symplectic vector over Z_d, stored as
+    its bit-planes ``x1``, ``x2``, ``z1`` and ``z2``.  Immutable."""
 
-    d: int
-    n: int
-    x: tuple[int, ...]
-    z: tuple[int, ...]
+    # ``_hash`` is computed on first use and kept: strategies, relabellings
+    # and the discard memo hash the same operators many times.  ``x`` and
+    # ``z`` are cached properties, so they live in the instance dict once
+    # read.  No __getattr__: it would stop the interpreter from
+    # specializing every attribute read of the class.
+    __slots__ = ("d", "n", "x1", "x2", "z1", "z2", "_hash", "__dict__")
 
-    # Written out in place of the generated frozen __init__ and a
-    # __post_init__: one dict update stores the fields and the planes, where
-    # the generated code pays an object.__setattr__ per field.  The planes
-    # are not fields, so eq, hash and repr see d, n, x and z only.
     def __init__(self, d: int, n: int, x: tuple[int, ...], z: tuple[int, ...]):
         if d not in SUPPORTED_DIMENSIONS:
             raise ValueError(f"unsupported register dimension {d}")
@@ -96,20 +100,43 @@ class PauliVec:
         low = (1 << n) - 1
         ones = int(sites.translate(_PLANE_ONE), 2)
         twos = int(sites.translate(_PLANE_TWO), 2) if d == 3 else 0
-        self.__dict__.update(
-            d=d, n=n, x=x, z=z, x1=ones & low, x2=twos & low, z1=ones >> n, z2=twos >> n
+        _store(self, d, n, ones & low, twos & low, ones >> n, twos >> n)
+        self.__dict__.update(x=x, z=z)
+
+    @cached_property
+    def x(self) -> tuple[int, ...]:
+        return _unpack(self.n, self.x1, self.x2)
+
+    @cached_property
+    def z(self) -> tuple[int, ...]:
+        return _unpack(self.n, self.z1, self.z2)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _planes(self) == _planes(other)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(_planes(self))
+            _set(self, "_hash", value)
+        return value
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(d={self.d!r}, n={self.n!r}, "
+            f"x={self.x!r}, z={self.z!r})"
         )
 
-    # The hash the dataclass would generate, computed on first use and kept
-    # in the instance dict like the planes: strategies, relabellings and the
-    # discard memo hash the same operators many times.  A dict lookup, not a
-    # caught AttributeError: raising costs more than hashing a narrow
-    # operator, and many of greedy's are hashed only a few times.
-    def __hash__(self) -> int:
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = self.__dict__["_hash"] = hash((self.d, self.n, self.x, self.z))
-        return value
+    def __reduce__(self):
+        return _from_planes, _planes(self)
 
     @classmethod
     def identity(cls, d: int, n: int) -> PauliVec:
@@ -127,10 +154,35 @@ class PauliVec:
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.x) and not any(self.z)
+        return not (self.x1 | self.x2 | self.z1 | self.z2)
 
     def __str__(self) -> str:
         return render(self)
+
+
+_new = object.__new__
+_set = object.__setattr__
+_planes = attrgetter("d", "n", "x1", "x2", "z1", "z2")
+
+
+def _store(p: PauliVec, d: int, n: int, x1: int, x2: int, z1: int, z2: int) -> None:
+    _set(p, "d", d)
+    _set(p, "n", n)
+    _set(p, "x1", x1)
+    _set(p, "x2", x2)
+    _set(p, "z1", z1)
+    _set(p, "z2", z2)
+    _set(p, "_hash", None)
+
+
+def _from_planes(d: int, n: int, x1: int, x2: int, z1: int, z2: int) -> PauliVec:
+    """The operator with the given planes, unchecked: every operator built
+    inside the package comes from here.  The planes must be consistent:
+    no bit at or above n, no bit set in both planes of one component, and
+    value-2 planes of 0 for d=2."""
+    p = _new(PauliVec)
+    _store(p, d, n, x1, x2, z1, z2)
+    return p
 
 
 def _check_compatible(p: PauliVec, q: PauliVec) -> None:
@@ -154,20 +206,23 @@ def _product(a: PauliVec, b: PauliVec, d: int) -> int:
     return (xz - zx) % d
 
 
+def _spread(n: int, plane: int) -> int:
+    """The plane with bit i moved to byte i."""
+    return int.from_bytes(f"{plane:0{n}b}".encode().translate(_ASCII_BITS), "big")
+
+
 def _unpack(n: int, one: int, two: int) -> tuple[int, ...]:
     """Exponent vector of the value-1 and value-2 planes of one component."""
-
-    def spread(plane: int) -> int:  # bit i of the plane -> byte i
-        return int.from_bytes(f"{plane:0{n}b}".encode().translate(_ASCII_BITS), "big")
-
-    return tuple((spread(one) + 2 * spread(two)).to_bytes(n, "little"))
+    return tuple((_spread(n, one) + 2 * _spread(n, two)).to_bytes(n, "little"))
 
 
 def _site_digits(p: PauliVec) -> bytes:
     """One byte per register, register 0 first: the site digit x + d*z."""
-    x = int.from_bytes(bytes(p.x), "big")
-    z = int.from_bytes(bytes(p.z), "big")
-    return (x + p.d * z).to_bytes(p.n, "big")
+    d, n = p.d, p.n
+    digits = _spread(n, p.x1) + d * _spread(n, p.z1)
+    if d == 3:
+        digits += 2 * _spread(n, p.x2) + 6 * _spread(n, p.z2)
+    return digits.to_bytes(n, "little")
 
 
 def symplectic_product(p: PauliVec, q: PauliVec) -> int:
@@ -182,10 +237,11 @@ def symplectic_product(p: PauliVec, q: PauliVec) -> int:
 def multiply(p: PauliVec, q: PauliVec) -> PauliVec:
     """Phaseless product: componentwise exponent addition mod d."""
     _check_compatible(p, q)
-    d = p.d
-    x = tuple((a + b) % d for a, b in zip(p.x, q.x))
-    z = tuple((a + b) % d for a, b in zip(p.z, q.z))
-    return PauliVec(d, p.n, x, z)
+    if p.d == 2:
+        return _from_planes(2, p.n, p.x1 ^ q.x1, 0, p.z1 ^ q.z1, 0)
+    x1, x2 = _add3(p.x1, p.x2, q.x1, q.x2)
+    z1, z2 = _add3(p.z1, p.z2, q.z1, q.z2)
+    return _from_planes(3, p.n, x1, x2, z1, z2)
 
 
 def weight(p: PauliVec) -> int:
@@ -196,8 +252,16 @@ def weight(p: PauliVec) -> int:
 def canonical_key(p: PauliVec) -> int:
     """Total order on same-shape operators: base-d^2 digits x+d*z, site 0 least
     significant.  Per-site digit order is I < X < .. < Z < .. so that pure-X
-    operators sort before pure-Z ones on the same support."""
-    return int(_site_digits(p)[::-1].translate(_ASCII_DIGITS) or b"0", p.d * p.d)
+    operators sort before pure-Z ones on the same support.  A plane's binary
+    digits read in base d^2 put its bit i at digit i."""
+    if p.d == 2:
+        return int(f"{p.x1:b}", 4) + 2 * int(f"{p.z1:b}", 4)
+    return (
+        int(f"{p.x1:b}", 9)
+        + 2 * int(f"{p.x2:b}", 9)
+        + 3 * int(f"{p.z1:b}", 9)
+        + 6 * int(f"{p.z2:b}", 9)
+    )
 
 
 def parse(text: str, d: int) -> PauliVec:
@@ -232,6 +296,7 @@ def parse(text: str, d: int) -> PauliVec:
 
 def render(p: PauliVec) -> str:
     """Render to canonical text; inverse of parse on valid input."""
+    digits = _site_digits(p)
     if p.d == 2:
-        return _site_digits(p).translate(_QUBIT_RENDER).decode()
-    return ",".join(_QUTRIT_RENDER[xz] for xz in zip(p.x, p.z))
+        return digits.translate(_QUBIT_RENDER).decode()
+    return ",".join(map(_QUTRIT_RENDER.__getitem__, digits))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .engine import Discard, Finish, History, Measure, Step, Strategy
-from .pauli import PauliVec, parse
+from .pauli import PauliVec, _from_planes, parse
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 FOUR_QUBIT_GENERATORS = ("XXXX", "ZZZZ")
@@ -26,11 +26,11 @@ class NamedProtocol:
 
 
 def _x_over(n: int, sites) -> PauliVec:
-    return PauliVec.from_sites(2, n, {i: (1, 0) for i in sites})
+    return _from_planes(2, n, sum(1 << i for i in sites), 0, 0, 0)
 
 
 def _z_over(n: int, sites) -> PauliVec:
-    return PauliVec.from_sites(2, n, {i: (0, 1) for i in sites})
+    return _from_planes(2, n, 0, 0, sum(1 << i for i in sites), 0)
 
 
 def six_pair() -> Strategy:

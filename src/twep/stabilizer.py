@@ -21,7 +21,7 @@ from ._kernels import Echelon
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
-    _unpack,
+    _from_planes,
     multiply,
     symplectic_product,
     weight,
@@ -43,9 +43,7 @@ def _packed(p: PauliVec) -> tuple[int, int]:
 def _operator(d: int, n: int, one: int, two: int) -> PauliVec:
     """The operator whose row is (one, two); inverse of ``_packed``."""
     low = (1 << n) - 1
-    return PauliVec(
-        d, n, _unpack(n, one & low, two & low), _unpack(n, one >> n, two >> n)
-    )
+    return _from_planes(d, n, one & low, two & low, one >> n, two >> n)
 
 
 def rank(gens: Sequence[PauliVec]) -> int:
@@ -199,8 +197,8 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
     sites = list(enumerate(sorted(registers)))
 
     def constraint(g: PauliVec) -> tuple[int, int]:
-        # <g, u> = g.x . u.z - g.z . u.x: x column 2j holds -g.z at the
-        # j-th site and z column 2j + 1 holds g.x; -g.z swaps the d=3 planes.
+        # <g, u> = x_g . z_u - z_g . x_u: x column 2j holds -z_g at the
+        # j-th site and z column 2j + 1 holds x_g; -z_g swaps the d=3 planes.
         z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
         one = two = 0
         for j, r in sites:
@@ -258,10 +256,10 @@ def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
     generator (the normalizer, as a Z_d space of dimension 2n - rank),
     packed: one vector per free column of the constraint rows, ascending."""
     d, n = s.d, s.n
-    # Row for generator g maps u=(x|z) to <g,u> = g.x . u.z - g.z . u.x.
+    # Row for generator g maps u=(x|z) to <g,u> = x_g . z_u - z_g . x_u.
     rows = Echelon(d)
     for g in s.gens:
-        # -g.z is g.z for d=2; for d=3 negation swaps the planes.
+        # -z_g is z_g for d=2; for d=3 negation swaps the planes.
         z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
         rows = rows.insert(z1 | g.x1 << n, z2 | g.x2 << n) or rows
     return list(_nullspace(rows, 2 * n))

@@ -40,7 +40,7 @@ from .errorspace import (
     filter_by_outcome,
 )
 # multiply is unused here; perfbench's tracer wraps ``synth.multiply``.
-from .pauli import PauliVec, multiply, symplectic_product
+from .pauli import PauliVec, _from_planes, multiply, symplectic_product
 from .stabilizer import SizeLimitError, StabilizerSet, _complement_rows
 
 SCAN_MAX_N = 10
@@ -101,12 +101,7 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
         [e.z1 for e in errors.members],
         s.n,
     )
-    return PauliVec(
-        2,
-        s.n,
-        tuple((x >> i) & 1 for i in range(s.n)),
-        tuple((z >> i) & 1 for i in range(s.n)),
-    )
+    return _from_planes(2, s.n, x, 0, z, 0)
 
 
 class _Node(NamedTuple):

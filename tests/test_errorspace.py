@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from twep import errorspace
 from twep.errorspace import (
     MAX_SITE_ENTRIES,
     CapExceededError,
@@ -84,6 +87,26 @@ class TestEnumerationOrder:
     def test_weight_bound_respected(self):
         errors = enumerate_errors(6, 2, 2)
         assert all(weight(e) <= 2 for e in errors.members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3]), n=st.integers(0, 8), t=st.integers(0, 2))
+    def test_strictly_increasing_in_weight_then_key(self, d, n, t):
+        """What makes a Finish leaf's first error its least (weight, key)
+        member, the correction ``verify`` reports."""
+        assume(t <= n)
+        members = enumerate_errors(n, t, d).members
+        keys = [(weight(e), canonical_key(e)) for e in members]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(members) == count_errors(n, t, d)
+        assert all(weight(e) <= t for e in members)
+
+    def test_gate_refuses_before_any_plane_is_built(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("an error was built")
+
+        monkeypatch.setattr(errorspace, "_from_planes", built)
+        with pytest.raises(CapExceededError):
+            enumerate_errors(2**12 - 1, 1)
 
 
 class TestFilter:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import prop_checks
 from prop_checks import complete_discard_reference, random_stabilizer
-from twep import engine
+from twep import engine, pauli
 from twep.engine import verify
+from twep.errorspace import enumerate_errors
 from twep.pauli import (
     DimensionMismatchError,
     PauliVec,
@@ -27,14 +28,16 @@ from twep.pauli import (
     symplectic_product,
     weight,
 )
-from twep.protocols import get, hamming_family, names
+from twep.protocols import _x_over, _z_over, get, hamming_family, names
 from twep.stabilizer import (
     SizeLimitError,
     StabilizerSet,
     _operator,
     _packed,
     complete_discard,
+    normalizer_complement_basis,
 )
+from twep.synth import NoSeparatorError, choose_generator
 
 
 @st.composite
@@ -61,6 +64,13 @@ def test_packed_arithmetic_matches_the_tuple_formulas(pair):
     p, q = pair
     assert symplectic_product(p, q) == prop_checks.symplectic_product_reference(p, q)
     assert symplectic_product(q, p) == prop_checks.symplectic_product_reference(q, p)
+    d, n = p.d, p.n
+    assert multiply(p, q) == PauliVec(
+        d,
+        n,
+        tuple((a + b) % d for a, b in zip(p.x, q.x)),
+        tuple((a + b) % d for a, b in zip(p.z, q.z)),
+    )
     for v in pair:
         planes = (v.x1, v.x2, v.z1, v.z2)
         assert planes == (
@@ -75,14 +85,19 @@ def test_packed_arithmetic_matches_the_tuple_formulas(pair):
         assert weight(v) == prop_checks.weight_reference(v)
 
 
-def _built_four_ways(d: int, text: str, sites: dict, left: str, right: str):
-    """One operator from parse, from_sites, a packed row and multiply."""
+def _built_every_way(d: int, text: str, sites: dict, left: str, right: str):
+    """One operator from parse, from_sites, its tuples, a packed row,
+    multiply, the enumeration, copy and pickle."""
     p = parse(text, d)
     return [
         p,
         PauliVec.from_sites(d, p.n, sites),
+        PauliVec(d, p.n, tuple(p.x), tuple(p.z)),
         _operator(d, p.n, *_packed(p)),
         multiply(parse(left, d), parse(right, d)),
+        next(e for e in enumerate_errors(p.n, weight(p), d) if e == p),
+        copy.copy(p),
+        pickle.loads(pickle.dumps(p)),
     ]
 
 
@@ -95,26 +110,71 @@ def _built_four_ways(d: int, text: str, sites: dict, left: str, right: str):
     ],
     ids=["qubits", "qutrits", "wide"],
 )
-def test_hash_is_the_dataclass_hash_computed_once(d, text, sites, left, right):
-    built = _built_four_ways(d, text, sites, left, right)
-    want = hash((built[0].d, built[0].n, built[0].x, built[0].z))
-    shown = repr(built[0])
+def test_every_constructor_builds_one_operator_hashed_once(
+    d, text, sites, left, right, monkeypatch
+):
+    """Equal and hash-equal however it is built; the hash is computed on
+    first use and kept; repr and the tuple view are the dataclass's were."""
+    hashed = []
+
+    def counting(value):
+        hashed.append(value)
+        return hash(value)
+
+    monkeypatch.setattr(pauli, "hash", counting, raising=False)
+    built = _built_every_way(d, text, sites, left, right)
+    first = built[0]
+    shown = f"PauliVec(d={d}, n={first.n}, x={first.x!r}, z={first.z!r})"
     for p in built:
-        assert p == built[0]
-        assert hash(p) == hash((p.d, p.n, p.x, p.z)) == want
-        assert hash(p) == want  # the kept value
+        assert p == first and not p != first
+        assert hash(p) == hash(first)
+        hashed.clear()
+        assert hash(p) == hash(first) and hashed == []  # the kept value
         assert repr(p) == shown
+        assert PauliVec(p.d, p.n, p.x, p.z) == p
+        assert type(p.x) is type(p.z) is tuple
     assert len(set(built)) == 1
-    assert [f.name for f in dataclasses.fields(PauliVec)] == ["d", "n", "x", "z"]
-    p = built[0]
-    assert shown == f"PauliVec(d={p.d}, n={p.n}, x={p.x!r}, z={p.z!r})"
-    for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
-        assert twin == p and hash(twin) == want and repr(twin) == shown
-    same = dataclasses.replace(p)
-    assert same == p and hash(same) == want
-    moved = dataclasses.replace(p, x=p.z, z=p.x)
-    assert moved == PauliVec(d, p.n, p.z, p.x)
-    assert hash(moved) == hash((d, p.n, p.z, p.x))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.x1 = 0
+
+
+def assert_consistent_planes(p: PauliVec):
+    """Disjoint value planes, nothing at or above bit n, no value-2 plane
+    for d=2, and the tuple view builds the same operator back."""
+    outside = -1 << p.n
+    assert p.x1 & p.x2 == 0 and p.z1 & p.z2 == 0
+    assert (p.x1 | p.x2 | p.z1 | p.z2) & outside == 0
+    assert p.d == 3 or p.x2 == p.z2 == 0
+    assert PauliVec(p.d, p.n, p.x, p.z) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_every_plane_constructor_builds_consistent_planes(d, n, seed):
+    """The constructors that skip the tuple validation: the enumeration,
+    discard completion, the normalizer complement, multiply (at d = 3 also
+    past 64 registers), the greedy scan and the protocols' parity masks."""
+    rng = random.Random(seed)
+    s = random_stabilizer(rng, d, n, rng.randrange(n + 1))
+    built = list(enumerate_errors(n, min(n, 2), d).members)
+    built += complete_discard(s, rng.sample(range(n), rng.randint(1, min(n, 4))))
+    built += normalizer_complement_basis(s)
+    for width in (n, n + 64):
+        p, q = (prop_checks._random_pauli(rng, d, width) for _ in range(2))
+        built += [multiply(p, q), multiply(p, p), multiply(p, prop_checks.inverse(p))]
+    if d == 2 and s.rank < n:
+        errors = enumerate_errors(n, 1, 2)
+        try:
+            built.append(choose_generator(s, errors))
+        except NoSeparatorError:
+            pass
+        built += [_x_over(n, range(0, n, 2)), _z_over(n, range(1, n, 2))]
+    for p in built:
+        assert_consistent_planes(p)
 
 
 @settings(max_examples=100, deadline=None)
