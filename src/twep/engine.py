@@ -37,12 +37,7 @@ from . import errorspace
 from .errorspace import ErrorSet, coset_classes, filter_by_outcome
 # multiply is unused here; perfbench's tracer wraps ``engine.multiply``.
 from .pauli import PauliVec, _product, multiply, render, symplectic_product, weight
-from .stabilizer import (
-    DISCARD_MAX_REGISTERS,
-    StabilizerSet,
-    _packed,
-    complete_discard,
-)
+from .stabilizer import DISCARD_MAX_REGISTERS, StabilizerSet, _packed, complete_discard
 
 
 class ProtocolError(Exception):

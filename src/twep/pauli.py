@@ -130,10 +130,8 @@ class PauliVec:
         return value
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(d={self.d!r}, n={self.n!r}, "
-            f"x={self.x!r}, z={self.z!r})"
-        )
+        name = type(self).__qualname__
+        return f"{name}(d={self.d!r}, n={self.n!r}, x={self.x!r}, z={self.z!r})"
 
     def __reduce__(self):
         return _from_planes, _planes(self)

@@ -114,7 +114,8 @@ def test_every_constructor_builds_one_operator_hashed_once(
     d, text, sites, left, right, monkeypatch
 ):
     """Equal and hash-equal however it is built; the hash is computed on
-    first use and kept; repr and the tuple view are the dataclass's were."""
+    first use and kept; repr and the tuple view read as they did when
+    PauliVec was a dataclass of (d, n, x, z)."""
     hashed = []
 
     def counting(value):
