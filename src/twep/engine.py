@@ -15,7 +15,10 @@ only outcomes, so the errors of weight at most t that reach a node are
 exactly the candidates there: each Measure splits them by outcome, each
 Discard is completed once per distinct (stabilizer, registers) and split
 along the operators it adds, and each Finish checks once that its errors
-share one coset.  ``simulate`` runs one error at a time; it serves single runs
+share one coset.  This walk (``_walk``) is the package's one outcome-tree
+walk: it takes each node's step from a chooser, which for ``verify`` asks the
+strategy and for greedy synthesis picks the step from the node's errors as
+the walk reaches it.  ``simulate`` runs one error at a time; it serves single runs
 and is the oracle the tests compare the walk against.  A report passes
 only if every error ends with a consistent correction and enough certified
 pairs.  A step the strategy may not take (a measurement that is not a
@@ -394,6 +397,18 @@ def verify(strategy: Strategy) -> Report:
     ``prop_checks.verify_by_simulation`` still makes that check for every
     error.  Counterexamples come out in the deterministic enumeration order.
     """
+    return _walk(strategy, lambda history, s, reached: strategy.next(history))
+
+
+def _walk(
+    strategy: Strategy,
+    choose: Callable[[History, StabilizerSet, tuple[int, ...]], Step],
+) -> Report:
+    """``verify``'s walk, taking each node's step from ``choose(history, s,
+    reached)``: the node's history, stabilizer and ascending enumeration
+    indices.  Every check the walk makes is independent of who chose the
+    step, and ``reached`` is a function of the history, so a chooser that
+    answers as ``strategy.next`` does yields exactly ``verify(strategy)``."""
     d, n = strategy.d, strategy.n
     members = errorspace.base_errors(d, n, strategy.t).members
     found: list[Optional[Counterexample]] = [None] * len(members)
@@ -421,7 +436,7 @@ def verify(strategy: Strategy) -> Report:
         try:
             if consultations > 2 * n:
                 raise NonTerminationError(f"strategy exceeded {2 * n} consultations")
-            step = strategy.next(history)
+            step = choose(history, s, reached)
             checked = _check_step(step, s)
             if isinstance(step, Measure):
                 added, grown = [step.op], checked

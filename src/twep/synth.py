@@ -8,9 +8,12 @@ argument guarantees such an operator splits the survivors to within
 sqrt(|E|)/2 of half, so the survivor count collapses geometrically and the
 whole protocol spends at most ceil(log2 |E|) + 2 measurements.
 
-The decision tree is built once, up front, by one recursive bisection of
-the enumerated errors; the strategy looks its steps up in that tree, and
-the step statistics are read from it after ``verify`` has checked it.
+The decision tree is built once, up front, on ``engine``'s outcome-tree
+walk: at each node the walk reaches, the chooser measures the best
+splitter of the node's errors, or finishes when they share one coset.  The
+walk checks each step as ``verify`` would, so its report is the tree's
+proof; the strategy looks its steps up in the finished tree, and the step
+statistics are read from it.
 Each node's scan is ``_kernels.best_splitter``, fed the packed normalizer
 complement rows: it visits candidates in key order and stops at the first
 split no candidate can beat.
@@ -25,23 +28,22 @@ from . import _kernels
 from .bounds import thm2_k
 from .engine import (
     Finish,
+    History,
     Measure,
     ProtocolError,
+    Report,
     Step,
     Strategy,
-    simulate,  # unused here; perfbench's tracer wraps ``synth.simulate``
-    verify,
+    _walk,
 )
-from .errorspace import (
-    ErrorSet,
-    base_errors,
-    coset_classes,
-    count_errors,
-    filter_by_outcome,
-)
-# multiply is unused here; perfbench's tracer wraps ``synth.multiply``.
-from .pauli import PauliVec, _from_planes, multiply, symplectic_product
+from .errorspace import ErrorSet, base_errors, count_errors
+from .pauli import PauliVec, _from_planes, symplectic_product
 from .stabilizer import SizeLimitError, StabilizerSet, _complement_rows
+
+# Unused here; perfbench's tracer wraps each of these as ``synth.<name>``.
+from .engine import simulate, verify
+from .errorspace import coset_classes, filter_by_outcome
+from .pauli import multiply
 
 SCAN_MAX_N = 10
 
@@ -84,7 +86,9 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
         raise ValueError("generator search is defined for d=2 only")
     if s.n > SCAN_MAX_N:
         raise SizeLimitError(f"generator scan needs n <= {SCAN_MAX_N}, got {s.n}")
-    if len(errors.members) < 2 or coset_classes(errors, s).is_single_class:
+    residues = map(s.residue, errors.members)
+    first = next(residues, None)
+    if len(errors.members) < 2 or all(r == first for r in residues):
         raise NoSeparatorError(
             "remaining errors are coset-equivalent; no separator exists or is needed"
         )
@@ -105,52 +109,45 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
 
 
 class _Node(NamedTuple):
-    """One node of the greedy tree: its step, the enumeration index of its
-    first survivor, and the survivor count of each child (Measure only)."""
+    """One node of the greedy tree: its step and the ascending enumeration
+    indices of its survivors."""
 
     step: Step
-    first: int
-    counts: tuple[int, ...]
+    reached: tuple[int, ...]
 
 
-def _synthesize(n: int, t: int) -> tuple[Strategy, dict[tuple, _Node]]:
-    """The greedy strategy and its decision tree, keyed by history entries.
+def _synthesize(n: int, t: int) -> tuple[Strategy, dict[tuple, _Node], Report]:
+    """The greedy strategy, its decision tree keyed by history entries, and
+    the tree's verification report.
 
-    One recursive bisection from the root: a node whose survivors admit no
-    separator finishes, any other measures ``choose_generator``'s operator,
-    splits its survivors by outcome and recurses into the non-empty
-    children.  Those are exactly the histories the strategy is ever
-    consulted on."""
+    The tree grows on ``engine._walk``: a node whose survivors admit no
+    separator finishes, any other measures ``choose_generator``'s operator.
+    The walk reaches exactly the histories the strategy is ever consulted
+    on, and its report is ``verify(strategy)``, because the chooser answers
+    each node as the finished strategy does."""
     if n < 1 or not 0 <= t <= n:
         raise ValueError(
             f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"
         )
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
-    base = base_errors(2, n, t)
-    position = {e: i for i, e in enumerate(base.members)}
+    members = base_errors(2, n, t).members
     tree: dict[tuple, _Node] = {}
 
-    def grow(entries, survivors: ErrorSet, s: StabilizerSet) -> None:
-        first = position[survivors.members[0]]
+    def choose(history: History, s: StabilizerSet, reached: tuple[int, ...]) -> Step:
+        survivors = ErrorSet(2, n, tuple(members[i] for i in reached))
         try:
-            op = choose_generator(s, survivors)
+            step = Measure(choose_generator(s, survivors))
         except NoSeparatorError:
-            tree[entries] = _Node(Finish(), first, ())
-            return
-        children = [filter_by_outcome(survivors, op, outcome) for outcome in (0, 1)]
-        tree[entries] = _Node(Measure(op), first, tuple(map(len, children)))
-        s = s.extend(op)
-        for outcome, child in enumerate(children):
-            if child.members:
-                grow(entries + ((op, outcome),), child, s)
+            step = Finish()
+        tree[history.entries] = _Node(step, reached)
+        return step
 
-    grow((), base, StabilizerSet(2, n))
     k_claimed = max(0, thm2_k(n, t))
     strategy = Strategy(
         2, n, t, k_claimed, lambda h: tree[h.entries].step, name=f"greedy-{n}-{t}"
     )
-    return strategy, tree
+    return strategy, tree, _walk(strategy, choose)
 
 
 def greedy_strategy(n: int, t: int) -> Strategy:
@@ -180,24 +177,25 @@ def _balanced(max_side: int, total: int) -> bool:
 
 
 def greedy_step_stats(n: int, t: int):
-    """Verify the greedy strategy and read its step counts and per-step split
-    balance from its tree.  Returns (report, stats).
+    """The greedy strategy's verification report, and its step counts and
+    per-step split balance read from its tree.  Returns (report, stats).
 
     ``max_steps`` is the depth of the deepest Finish node.  A Measure node
     whose split is unbalanced is listed once per child it has, ordered by
     the enumeration index of the child's first survivor, then by depth."""
-    strategy, tree = _synthesize(n, t)
-    report = verify(strategy)
+    _, tree, report = _synthesize(n, t)
     violations = []
     for key, node in tree.items():
-        if not node.counts or _balanced(max(node.counts), sum(node.counts)):
+        if isinstance(node.step, Finish):
             continue
-        c, a = node.counts
+        children = [tree.get(key + ((node.step.op, outcome),)) for outcome in (0, 1)]
+        c, a = (len(child.reached) if child else 0 for child in children)
+        if _balanced(max(c, a), c + a):
+            continue
         line = f"step {len(key) + 1}: split {c}/{a} of {c + a}"
-        for outcome, size in enumerate(node.counts):
-            if size:
-                child = tree[key + ((node.step.op, outcome),)]
-                violations.append((child.first, len(key) + 1, line))
+        for child in children:
+            if child:
+                violations.append((child.reached[0], len(key) + 1, line))
     violations.sort()
     stats = GreedyStats(
         step_bound=(count_errors(n, t, 2) - 1).bit_length() + 2,

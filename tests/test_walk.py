@@ -27,7 +27,7 @@ from twep.engine import (
     Strategy,
     verify,
 )
-from twep.errorspace import count_errors, enumerate_errors
+from twep.errorspace import count_errors, enumerate_errors, filter_by_outcome
 from twep.pauli import PauliVec, canonical_key, multiply, parse, symplectic_product
 from twep.protocols import get, hamming_family, names, nine_pair
 from twep.stabilizer import StabilizerSet, normalizer_complement_basis
@@ -292,7 +292,7 @@ def test_each_history_is_consulted_once():
 def test_greedy_tree_is_consulted_once_per_node(n, t):
     """verify consults every node of greedy's tree exactly once, and
     consults no history outside it."""
-    strategy, tree = synth._synthesize(n, t)
+    strategy, tree, _ = synth._synthesize(n, t)
     seen: Counter = Counter()
 
     def counting(history):
@@ -304,6 +304,35 @@ def test_greedy_tree_is_consulted_once_per_node(n, t):
     assert_text_matches_json(report)
     assert set(seen) == set(tree)
     assert set(seen.values()) == {1}
+
+
+GREEDY_GRID = (
+    [(n, 1) for n in range(1, 11)] + [(n, 2) for n in range(3, 11)] + [(6, 3), (8, 3)]
+)
+
+
+@pytest.mark.parametrize("n, t", GREEDY_GRID)
+def test_greedy_report_is_verify_of_its_strategy(n, t):
+    """Synthesis walks the tree once, and that walk's report is the one
+    ``verify`` gives the finished strategy; up to n = 7 each node's
+    survivors are the errors that filtering along its history keeps."""
+    report, _ = greedy_step_stats(n, t)
+    reference = verify(greedy_strategy(n, t))
+    assert report.to_text() == reference.to_text()
+    assert (report.errors_checked, report.k_min, report.passed) == (
+        reference.errors_checked,
+        reference.k_min,
+        reference.passed,
+    )
+    if n > 7:
+        return
+    base = enumerate_errors(n, t)
+    position = {e: i for i, e in enumerate(base.members)}
+    for entries, node in synth._synthesize(n, t)[1].items():
+        survivors = base
+        for op, outcome in entries:
+            survivors = filter_by_outcome(survivors, op, outcome)
+        assert node.reached == tuple(position[e] for e in survivors.members)
 
 
 def test_each_distinct_discard_is_completed_once(monkeypatch):
