@@ -15,17 +15,16 @@ only outcomes, so the errors of weight at most t that reach a node are
 exactly the candidates there: each Measure splits them by outcome, each
 Discard is completed once per distinct (stabilizer, registers) and split
 along the operators it adds, and each Finish checks once that its errors
-share one coset.  This walk (``_walk``) is the package's one outcome-tree
-walk: it takes each node's step from a chooser, which for ``verify`` asks the
-strategy and for greedy synthesis picks the step from the node's errors as
-the walk reaches it.  ``simulate`` runs one error at a time; it serves single runs
-and is the oracle the tests compare the walk against.  A report passes
-only if every error ends with a consistent correction and enough certified
-pairs.  A step the strategy may not take (a measurement that is not a
-PauliVec, off the protocol's registers, anticommuting or redundant; a
-discard of no, too many, non-integer or nonexistent registers) is a
-ProtocolError, and so a counterexample for every error that reaches it, in
-both.
+share one coset.  This is the package's one tree walk, ``_walk``: it asks a
+chooser for each node's step, which ``verify``'s chooser takes from the
+strategy and greedy synthesis picks from the node's errors.  ``simulate``
+runs one error at a time; it serves single runs and is the oracle the tests
+compare the walk against.  A report passes only if every error ends with a
+consistent correction and enough certified pairs.  A step the strategy may
+not take (a measurement that is not a PauliVec, off the protocol's
+registers, anticommuting or redundant; a discard of no, too many,
+non-integer or nonexistent registers) is a ProtocolError, and so a
+counterexample for every error that reaches it, in both.
 """
 
 from __future__ import annotations
@@ -405,10 +404,9 @@ def _walk(
     choose: Callable[[History, StabilizerSet, tuple[int, ...]], Step],
 ) -> Report:
     """``verify``'s walk, taking each node's step from ``choose(history, s,
-    reached)``: the node's history, stabilizer and ascending enumeration
-    indices.  Every check the walk makes is independent of who chose the
-    step, and ``reached`` is a function of the history, so a chooser that
-    answers as ``strategy.next`` does yields exactly ``verify(strategy)``."""
+    reached)``, where ``reached`` holds the node's ascending enumeration
+    indices and follows from the history.  No check depends on who chose the
+    step, so a chooser that answers as ``strategy.next`` yields ``verify``'s report."""
     d, n = strategy.d, strategy.n
     members = errorspace.base_errors(d, n, strategy.t).members
     found: list[Optional[Counterexample]] = [None] * len(members)

@@ -9,11 +9,8 @@ sqrt(|E|)/2 of half, so the survivor count collapses geometrically and the
 whole protocol spends at most ceil(log2 |E|) + 2 measurements.
 
 The decision tree is built once, up front, on ``engine``'s outcome-tree
-walk: at each node the walk reaches, the chooser measures the best
-splitter of the node's errors, or finishes when they share one coset.  The
-walk checks each step as ``verify`` would, so its report is the tree's
-proof; the strategy looks its steps up in the finished tree, and the step
-statistics are read from it.
+walk, whose report is then the tree's proof; the strategy looks its steps
+up in that tree, and the step statistics are read from it.
 Each node's scan is ``_kernels.best_splitter``, fed the packed normalizer
 complement rows: it visits candidates in key order and stops at the first
 split no candidate can beat.
@@ -186,16 +183,13 @@ def greedy_step_stats(n: int, t: int):
     _, tree, report = _synthesize(n, t)
     violations = []
     for key, node in tree.items():
-        if isinstance(node.step, Finish):
+        if not key:
             continue
-        children = [tree.get(key + ((node.step.op, outcome),)) for outcome in (0, 1)]
-        c, a = (len(child.reached) if child else 0 for child in children)
-        if _balanced(max(c, a), c + a):
-            continue
-        line = f"step {len(key) + 1}: split {c}/{a} of {c + a}"
-        for child in children:
-            if child:
-                violations.append((child.reached[0], len(key) + 1, line))
+        total, size = len(tree[key[:-1]].reached), len(node.reached)
+        if not _balanced(max(size, total - size), total):
+            c = size if key[-1][1] == 0 else total - size
+            line = f"step {len(key)}: split {c}/{total - c} of {total}"
+            violations.append((node.reached[0], len(key), line))
     violations.sort()
     stats = GreedyStats(
         step_bound=(count_errors(n, t, 2) - 1).bit_length() + 2,
