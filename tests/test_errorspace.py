@@ -100,6 +100,14 @@ class TestEnumerationOrder:
         assert len(members) == count_errors(n, t, d)
         assert all(weight(e) <= t for e in members)
 
+    def test_gate_refuses_before_any_plane_is_built(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("an error was built")
+
+        monkeypatch.setattr(errorspace, "_from_planes", built)
+        with pytest.raises(CapExceededError):
+            enumerate_errors(2**12 - 1, 1)
+
 
 class TestFilter:
     def test_brute_force_agreement_on_four_register_parity(self):
