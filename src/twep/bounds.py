@@ -22,8 +22,8 @@ def _ceil_log2(value: int) -> int:
 def hamming_max_k(n: int, t: int) -> int:
     """Largest k >= 1 with 2^k * (number of weight<=t errors) <= 2^n, the
     sphere-packing limit; -1 when not even one protected pair fits."""
-    if t > n:
-        raise ValueError(f"t={t} exceeds n={n}")
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} lies outside 0..{n}")
     total = count_errors(n, t, 2)
     for k in range(n, 0, -1):
         if (total << k) <= (1 << n):
@@ -33,6 +33,8 @@ def hamming_max_k(n: int, t: int) -> int:
 
 def singleton_max_k(n: int, t: int) -> int:
     """Linear-bound limit n - 4t, floored at the -1 sentinel."""
+    if t < 0:
+        raise ValueError(f"t={t} is negative")
     k = n - 4 * t
     return k if k >= 0 else -1
 
@@ -40,8 +42,8 @@ def singleton_max_k(n: int, t: int) -> int:
 def gv_k(n: int, t: int) -> int:
     """Existence guarantee for one-way codes: largest k with
     2^(n-k) >= number of weight<=2t errors."""
-    if 2 * t > n:
-        raise ValueError(f"gv_k needs 2t <= n, got t={t}, n={n}")
+    if not 0 <= 2 * t <= n:
+        raise ValueError(f"gv_k needs 0 <= 2t <= n, got t={t}, n={n}")
     return n - _ceil_log2(count_errors(n, 2 * t, 2))
 
 
@@ -51,8 +53,8 @@ def thm2_k(n: int, t: int) -> int:
     May be negative, meaning the generic guarantee is vacuous for these
     parameters; callers must treat negatives as 'no guarantee'.
     """
-    if t > n:
-        raise ValueError(f"t={t} exceeds n={n}")
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} lies outside 0..{n}")
     return n - _ceil_log2(count_errors(n, t, 2)) - 2
 
 
@@ -141,11 +143,11 @@ class BoundsRow:
 
 
 def bounds_table(n_values: list[int], t_values: list[int]) -> list[BoundsRow]:
-    """Grid of bounds, n-major then t-minor order."""
+    """Grid of bounds over 0 <= t <= n, n-major then t-minor order."""
     rows = []
     for n in n_values:
         for t in t_values:
-            if t > n:
+            if not 0 <= t <= n:
                 continue
             rows.append(
                 BoundsRow(

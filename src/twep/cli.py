@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import protocols, synth
 from .engine import verify as engine_verify
 from .engine import simulate as engine_simulate
-from .errorspace import CapExceededError, check_size
+from .errorspace import check_size
 from .pauli import PauliSyntaxError, parse, weight
 from .stabilizer import SizeLimitError
 
@@ -44,7 +44,7 @@ def _get_protocol(name: str, m: int | None = None):
         try:
             # Gate before the family builds its operators on 2^m - 1 pairs.
             check_size(2**m - 1, 1, 2)
-        except CapExceededError as exc:
+        except SizeLimitError as exc:
             _fail(str(exc), 2)
         return protocols.NamedProtocol(
             name=f"hamming-m{m}",
@@ -89,7 +89,7 @@ def verify(protocol: str, m: int | None):
     named = _get_protocol(protocol, m)
     try:
         report = engine_verify(named.strategy)
-    except CapExceededError as exc:
+    except SizeLimitError as exc:
         _fail(str(exc), 2)
     click.echo(report.to_text(), nl=False)
     sys.exit(0 if report.passed else 1)
@@ -138,7 +138,7 @@ def greedy(n: int, t: int):
         _fail(f"greedy needs --n >= 1 and 0 <= --t <= --n, got n={n}, t={t}", 2)
     try:
         report, stats = synth.greedy_step_stats(n, t)
-    except (SizeLimitError, CapExceededError) as exc:
+    except SizeLimitError as exc:
         _fail(str(exc), 2)
     payload = report.to_dict()
     payload.update(
@@ -165,7 +165,7 @@ def bounds(n_range: str, t_range: str, fmt: str, output: str | None):
     """Tabulate the coding bounds over a parameter grid."""
     rows = bounds_mod.bounds_table(_parse_range(n_range), _parse_range(t_range))
     if not rows:
-        _fail("empty grid: no (n, t) with t <= n", 2)
+        _fail("empty grid: no (n, t) with 0 <= t <= n", 2)
     if fmt == "csv":
         _emit(bounds_mod.bounds_csv(rows), output)
     else:

@@ -22,9 +22,9 @@ runs one error at a time; it serves single runs and is the oracle the tests
 compare the walk against.  A report passes only if every error ends with a
 consistent correction and enough certified pairs.  A step the strategy may
 not take (a measurement that is not a PauliVec, off the protocol's
-registers, anticommuting or redundant; a discard of no, too many,
-non-integer or nonexistent registers) is a ProtocolError, and so a
-counterexample for every error that reaches it, in both.
+registers, anticommuting or redundant; a discard of no, non-integer or
+nonexistent registers) is a ProtocolError, and so a counterexample for
+every error that reaches it, in both.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import errorspace
 from .errorspace import ErrorSet, coset_classes, filter_by_outcome
 # multiply is unused here; perfbench's tracer wraps ``engine.multiply``.
 from .pauli import PauliVec, _product, multiply, render, symplectic_product, weight
-from .stabilizer import DISCARD_MAX_REGISTERS, StabilizerSet, _packed, complete_discard
+from .stabilizer import StabilizerSet, _packed, complete_discard
 
 
 class ProtocolError(Exception):
@@ -56,8 +56,8 @@ class RedundantMeasurement(ProtocolError):
 
 
 class IllegalDiscard(ProtocolError):
-    """Discard of no registers, of registers that are not integers or lie
-    outside the protocol, or of more than DISCARD_MAX_REGISTERS registers."""
+    """Discard of no registers, or of registers that are not integers or
+    lie outside the protocol."""
 
 
 class UnsoundFinish(ProtocolError):
@@ -306,11 +306,6 @@ def _check_step(step: Step, s: StabilizerSet) -> StabilizerSet | frozenset[int] 
             ) from None
         if not registers:
             raise IllegalDiscard("discard of no registers")
-        if len(registers) > DISCARD_MAX_REGISTERS:
-            raise IllegalDiscard(
-                f"discard of {len(registers)} registers exceeds the bound "
-                f"{DISCARD_MAX_REGISTERS}"
-            )
         strange = sorted(repr(r) for r in registers if not isinstance(r, int))
         if strange:
             raise IllegalDiscard(

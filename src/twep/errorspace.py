@@ -13,23 +13,17 @@ from functools import lru_cache
 from math import comb
 
 from .pauli import PauliVec, _from_planes, canonical_key, symplectic_product, weight
-from .stabilizer import StabilizerSet
+from .stabilizer import SizeLimitError, StabilizerSet
 
-# A verification walk peaks at about 2 bytes per site entry (n entries per
-# error): 21 MB at hamming m = 11 (n·|E| = 12.6 M), 16 MB of it the
-# interpreter.  2^24 entries, about 32 MB, admit m = 11 and reject m = 12
-# (50.3 M).
-MAX_SITE_ENTRIES = 1 << 24
-BYTES_PER_SITE_ENTRY = 2
-
-
-class CapExceededError(ValueError):
-    """Requested enumeration of ``count`` errors holds more than
-    MAX_SITE_ENTRIES site entries."""
-
-    def __init__(self, count: int, message: str):
-        super().__init__(message)
-        self.count = count
+# A verification walk holds about BYTES_PER_ERROR per error (its operator,
+# its index in the lists and a possible counterexample) plus ceil(n/8) bytes
+# for each bit-plane the error carries: 2 for d=2, 4 for d=3.  Fitted to peak
+# RSS above an interpreter that has imported twep (Python 3.11, 2 vCPUs):
+# hamming m = 10 holds 2.3 MB (estimate 3.0 MB), m = 13 51 MB (66 MB), and
+# discarding 9 of 12 registers at t = 6 holds 345 MB (672 MB).  The limit
+# admits hamming m = 13 and refuses m = 14 (228 MB).
+BYTES_PER_ERROR = 768
+MAX_WALK_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -54,20 +48,20 @@ def count_errors(n: int, t: int, d: int = 2) -> int:
     return sum(per_site**j * comb(n, j) for j in range(0, t + 1))
 
 
-def check_size(n: int, t: int, d: int = 2) -> None:
-    """Raise CapExceededError unless the errors of weight <= t on n
-    registers hold at most MAX_SITE_ENTRIES site entries (n·|E|), so nothing
-    is built that cannot fit in memory.  This is the one size gate on an
-    enumeration; it also bounds the error count, to 2^23 for n >= 2."""
+def check_size(n: int, t: int, d: int = 2) -> int:
+    """The bytes a verification walk over the errors of weight <= t on n
+    registers holds, estimated from |E|, n and d.  Raise SizeLimitError
+    before anything is built if the estimate exceeds MAX_WALK_BYTES: this
+    is the one size gate on an enumeration."""
     total = count_errors(n, t, d)
-    entries = n * total
-    if entries > MAX_SITE_ENTRIES:
-        raise CapExceededError(
-            total,
-            f"enumeration of {total} errors on {n} registers holds {entries} site"
-            f" entries, about {entries * BYTES_PER_SITE_ENTRY >> 20} MB; the limit"
-            f" is {MAX_SITE_ENTRIES} entries",
+    planes = 2 if d == 2 else 4
+    estimate = total * (BYTES_PER_ERROR + planes * -(-n // 8))
+    if estimate > MAX_WALK_BYTES:
+        raise SizeLimitError(
+            f"enumeration of {total} errors on {n} registers needs about"
+            f" {estimate >> 20} MB; the limit is {MAX_WALK_BYTES >> 20} MB"
         )
+    return estimate
 
 
 def enumerate_errors(n: int, t: int, d: int = 2) -> ErrorSet:

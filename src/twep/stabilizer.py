@@ -28,11 +28,10 @@ from .pauli import (
 )
 
 ENUMERATION_MAX_N = 12
-DISCARD_MAX_REGISTERS = 9
 
 
 class SizeLimitError(ValueError):
-    """An exhaustive enumeration was requested beyond its configured bound."""
+    """An exhaustive enumeration or scan was requested beyond its size gate."""
 
 
 def _packed(p: PauliVec) -> tuple[int, int]:
@@ -186,11 +185,6 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
     registers = frozenset(discard)
     if not registers:
         raise ValueError("discard set must be nonempty")
-    if len(registers) > DISCARD_MAX_REGISTERS:
-        raise SizeLimitError(
-            f"discard completion enumerates over {len(registers)} registers "
-            f"(bound {DISCARD_MAX_REGISTERS})"
-        )
     if any(not 0 <= r < s.n for r in registers):
         raise ValueError("discard register out of range")
     d, n = s.d, s.n

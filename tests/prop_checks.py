@@ -6,16 +6,9 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from types import SimpleNamespace
 
-from twep._kernels import (
-    _anticommuting,
-    _combinations,
-    _coset_min,
-    _deinterleave,
-    _interleave_key,
-)
 from twep.engine import (
     Counterexample,
     Discard,
@@ -29,14 +22,9 @@ from twep.engine import (
     simulate,
 )
 from twep.errorspace import ErrorSet, base_errors, enumerate_errors, filter_by_outcome
-from twep.pauli import PauliVec, multiply, parse, symplectic_product, weight
+from twep.pauli import PauliVec, canonical_key, multiply, parse, symplectic_product, weight
 from twep.protocols import hamming_family, nine_pair, qutrit_four, six_pair
-from twep.stabilizer import (
-    DISCARD_MAX_REGISTERS,
-    SizeLimitError,
-    StabilizerSet,
-    normalizer_complement_basis,
-)
+from twep.stabilizer import SizeLimitError, StabilizerSet, normalizer_complement_basis
 from twep.synth import split_counts
 
 
@@ -117,17 +105,15 @@ def complete_discard_reference(s: StabilizerSet, discard) -> list[PauliVec]:
     """Slow oracle for ``stabilizer.complete_discard``: build every candidate
     supported inside the registers, in ascending canonical-key order, and
     keep each one that commutes with the stabilizer grown so far and lies
-    outside it."""
+    outside it.  The scan builds (d^2)^k candidates on k registers, so it
+    refuses more than nine."""
     registers = frozenset(discard)
     if not registers:
         raise ValueError("discard set must be nonempty")
-    if len(registers) > DISCARD_MAX_REGISTERS:
-        raise SizeLimitError(
-            f"discard completion enumerates over {len(registers)} registers "
-            f"(bound {DISCARD_MAX_REGISTERS})"
-        )
     if any(not 0 <= r < s.n for r in registers):
         raise ValueError("discard register out of range")
+    if len(registers) > 9:
+        raise SizeLimitError(f"candidate scan over {len(registers)} registers")
     d, n = s.d, s.n
     sites = sorted(registers)
     added = []
@@ -284,17 +270,6 @@ def min_normalizer_weight_reference(s: StabilizerSet) -> int:
     )
 
 
-def _echelon(rows: list[int]) -> list[int]:
-    """Echelon basis of the GF(2) span of rows, in the form ``_coset_min`` takes."""
-    basis: list[int] = []
-    for v in rows:
-        v = _coset_min(v, basis)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
-
-
 def best_splitter_reference(
     span_x: list[int],
     span_z: list[int],
@@ -304,37 +279,37 @@ def best_splitter_reference(
     err_z: list[int],
     n: int,
 ) -> tuple[int, int, int, int]:
-    """The full scan ``_kernels.best_splitter`` replaced: every complement
-    combination is scored, and the smallest canonical key among those with
-    the smallest larger side wins."""
-    nc = len(comp_x)
-    ne = len(err_x)
-    if nc == 0:
+    """The full scan ``_kernels.best_splitter`` replaced, on PauliVec
+    operations alone: each nonzero complement combination is split against
+    the errors by ``symplectic_product``, the smallest larger side wins, and
+    ties go to the smallest ``canonical_key`` over every combination times
+    every span element.  Returns the winning operator's x and z bits and its
+    own commuting and anticommuting counts."""
+    if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
-    span = _echelon([_interleave_key(x, z, n) for x, z in zip(span_x, span_z)])
-    keys = [_coset_min(_interleave_key(x, z, n), span) for x, z in zip(comp_x, comp_z)]
-    rows = [_anticommuting(x, z, err_x, err_z) for x, z in zip(comp_x, comp_z)]
-    larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
-    # Candidate (high, low) is the XOR of a high-half and a low-half entry.
-    low = (nc + 1) // 2
-    low_rows, low_keys = _combinations(rows[:low]), _combinations(keys[:low])
-    high = zip(_combinations(rows[low:]), _combinations(keys[low:]))
+
+    def operator(x: int, z: int) -> PauliVec:
+        return PauliVec(2, n, *(tuple(v >> i & 1 for i in range(n)) for v in (x, z)))
+
+    def products(basis: list[PauliVec]) -> list[PauliVec]:
+        """Every product of a subset of the basis, the identity first."""
+        out = [PauliVec.identity(2, n)]
+        for b in basis:
+            out += [multiply(p, b) for p in out]
+        return out
+
+    span = products([operator(x, z) for x, z in zip(span_x, span_z)])
+    errors = [operator(x, z) for x, z in zip(err_x, err_z)]
     best = None
-    for i, (high_row, high_key) in enumerate(high):
-        # Entry 0 of both halves is the identity, which is not a candidate.
-        start = 0 if i else 1
-        block_rows, block_keys = low_rows[start:], low_keys[start:]
-        anti = map(int.bit_count, map(high_row.__xor__, block_rows))
-        sides = list(map(larger_side.__getitem__, anti))
-        m = min(sides)
-        if best is not None and m > best[0]:
-            continue
-        key = min(map(high_key.__xor__, compress(block_keys, map(m.__eq__, sides))))
-        if best is None or (m, key) < best:
-            best = (m, key)
-    best_x, best_z = _deinterleave(best[1], n)
-    anti = _anticommuting(best_x, best_z, err_x, err_z).bit_count()
-    return best_x, best_z, ne - anti, anti
+    for c in products([operator(x, z) for x, z in zip(comp_x, comp_z)])[1:]:
+        anti = sum(symplectic_product(c, e) for e in errors)
+        side = max(anti, len(errors) - anti)
+        key, op = min((canonical_key(p), p) for p in (multiply(c, s) for s in span))
+        if best is None or (side, key) < best[:2]:
+            best = side, key, op
+    op = best[2]
+    anti = sum(symplectic_product(op, e) for e in errors)
+    return bits_reference(op.x), bits_reference(op.z), len(errors) - anti, anti
 
 
 def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:

@@ -160,6 +160,19 @@ class TestRates:
             rate_table(1)
 
 
+class TestNegativeT:
+    @pytest.mark.parametrize("bound", [hamming_max_k, singleton_max_k, gv_k, thm2_k])
+    @pytest.mark.parametrize("t", [-1, -2])
+    def test_raises(self, bound, t):
+        with pytest.raises(ValueError):
+            bound(3, t)
+
+    def test_table_skips_negative_t(self):
+        assert bounds_table([2, 3], [-2, -1]) == []
+        rows = bounds_table([2, 3], [-2, -1, 0])
+        assert [(r.n, r.t) for r in rows] == [(2, 0), (3, 0)]
+
+
 class TestSerialization:
     def test_bounds_csv_header_and_rows(self):
         rows = bounds_table([9, 10], [2])

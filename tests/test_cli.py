@@ -56,6 +56,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "six-pair", "--m", "3"])
         assert result.exit_code == 2
 
+    def test_hamming_m12_is_admitted(self, runner):
+        result = runner.invoke(main, ["verify", "hamming", "--m", "12"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert (report["errors_checked"], report["k_min"]) == (12286, 4082)
+
 
 class TestSimulateCommand:
     def test_golden_transcript_bisection(self, runner):
@@ -149,6 +155,20 @@ class TestBoundsCommand:
         result = runner.invoke(main, ["bounds", "--n", "5...9", "--t", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("t_range", ["-1", "-2..-1"])
+    def test_negative_t_only_is_an_empty_grid(self, runner, t_range):
+        result = runner.invoke(main, ["bounds", "--n", "2..3", "--t", t_range])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "empty grid" in result.stderr
+
+    def test_negative_t_rows_are_skipped(self, runner):
+        result = runner.invoke(
+            main, ["bounds", "--n", "2..3", "--t", "-2..0", "--format", "csv"]
+        )
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1:] == ["2,0,2,2,2,0", "3,0,3,3,3,1"]
+
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "bounds.csv"
         result = runner.invoke(
@@ -230,7 +250,12 @@ class TestGoldenStdout:
 
 class TestSizeGates:
     @pytest.mark.parametrize(
-        "m, message", [(16, "12884574210 site entries"), (40, "site entries")]
+        "m, message",
+        [
+            (16, "196606 errors on 65535 registers needs about 3215 MB"),
+            (40, "the limit is 128 MB"),
+        ],
+        ids=["m16", "m40"],
     )
     def test_huge_hamming_exits_two_before_building(self, runner, m, message):
         start = time.perf_counter()
@@ -246,7 +271,7 @@ class TestSizeGates:
         ids=["verify", "greedy"],
     )
     def test_cap_option_is_a_usage_error(self, runner, args):
-        """The site-entry gate is the only size limit; there is no --cap."""
+        """The walk-size gate is the only size limit; there is no --cap."""
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -278,7 +303,7 @@ _INVOCATIONS = st.one_of(
     st.tuples(st.integers(-2, 100), _FORMATS).map(
         lambda a: ["rates", "--points", str(a[0]), *a[1]]
     ),
-    st.one_of(st.integers(-1, 6), st.integers(12, 64)).map(
+    st.one_of(st.integers(-1, 6), st.integers(14, 64)).map(
         lambda m: ["verify", "hamming", "--m", str(m)]
     ),
 )

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twep
 from twep import errorspace
 from twep.errorspace import (
-    MAX_SITE_ENTRIES,
-    CapExceededError,
+    BYTES_PER_ERROR,
+    MAX_WALK_BYTES,
     ErrorSet,
     check_size,
     coset_classes,
@@ -18,7 +24,7 @@ from twep.errorspace import (
     filter_by_outcome,
 )
 from twep.pauli import PauliVec, canonical_key, parse, symplectic_product, weight
-from twep.stabilizer import StabilizerSet
+from twep.stabilizer import SizeLimitError, StabilizerSet
 
 
 class TestCounting:
@@ -45,32 +51,75 @@ class TestCounting:
                     assert len(got.members) == count_errors(n, t, d), (n, t, d)
 
     def test_cap_enforced(self, monkeypatch):
-        """The site-entry gate refuses before any error is built."""
+        """The walk-size gate refuses before any error is built."""
 
         def built(*args):
             raise AssertionError("an error was built")
 
         monkeypatch.setattr(errorspace, "_from_planes", built)
-        with pytest.raises(CapExceededError) as err:
-            enumerate_errors(2**12 - 1, 1)
-        assert err.value.count == 12286
+        with pytest.raises(SizeLimitError, match="^enumeration of 49150 errors "):
+            enumerate_errors(2**14 - 1, 1)
 
-    def test_site_entry_gate_admits_hamming_m11_and_rejects_m12(self):
-        check_size(2**11 - 1, 1)
-        with pytest.raises(CapExceededError, match="50311170 site entries"):
-            check_size(2**12 - 1, 1)
-        assert 127 * count_errors(127, 1) <= MAX_SITE_ENTRIES
-        # The gate refuses exactly where n·|E| passes the limit.
-        for d in (2, 3):
+    def test_walk_gate_admits_hamming_m13_and_rejects_m14(self):
+        check_size(2**12 - 1, 1)
+        assert check_size(2**13 - 1, 1) == 24574 * (BYTES_PER_ERROR + 2 * 1024)
+        with pytest.raises(SizeLimitError, match="912718 errors on 12 registers"):
+            check_size(12, 6)
+        with pytest.raises(
+            SizeLimitError,
+            match="49150 errors on 16383 registers needs about 227 MB; the limit is 128 MB",
+        ):
+            check_size(2**14 - 1, 1)
+        # The gate refuses exactly where the estimate passes the limit.
+        for d, planes in ((2, 2), (3, 4)):
             for n in range(65):
                 for t in range(n + 1):
                     total = count_errors(n, t, d)
-                    if n * total > MAX_SITE_ENTRIES:
-                        with pytest.raises(CapExceededError) as err:
+                    estimate = total * (BYTES_PER_ERROR + planes * -(-n // 8))
+                    if estimate > MAX_WALK_BYTES:
+                        with pytest.raises(SizeLimitError, match=f"of {total} errors"):
                             check_size(n, t, d)
-                        assert err.value.count == total
                     else:
-                        check_size(n, t, d)
+                        assert check_size(n, t, d) == estimate
+
+
+# One walk in a fresh interpreter, which prints its peak RSS in kB: VmHWM,
+# the high-water mark of its own address space.  (ru_maxrss would not do:
+# Linux carries the parent's peak across fork and exec.)  "baseline" only
+# imports twep, "hamming M" verifies the bisection family and "discard K D N
+# T" a strategy that discards registers 0..K-1, then finishes.
+_PEAK = """
+import sys
+from twep import Discard, Finish, Strategy, hamming_family, verify
+kind, *args = sys.argv[1:]
+if kind == "hamming":
+    verify(hamming_family(int(args[0])))
+elif kind == "discard":
+    k, d, n, t = map(int, args)
+    drop = frozenset(range(k))
+    verify(Strategy(d, n, t, 0, lambda h: Finish() if h.discards else Discard(drop)))
+print(next(line.split()[1] for line in open("/proc/self/status") if "VmHWM" in line))
+"""
+
+
+def _peak_bytes(*walk: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(twep.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK, *walk], env=env, capture_output=True, check=True
+    )
+    return int(out.stdout) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_gate_estimate_bounds_the_measured_peak():
+    """Each admitted walk's peak RSS above an interpreter that has imported
+    twep stays within ``check_size``'s estimate."""
+    baseline = _peak_bytes("baseline")
+    for walk, (n, t, d) in [
+        (("hamming", "10"), (2**10 - 1, 1, 2)),
+        (("discard", "9", "2", "12", "4"), (12, 4, 2)),
+    ]:
+        assert _peak_bytes(*walk) - baseline <= check_size(n, t, d), walk
 
 
 class TestEnumerationOrder:
@@ -105,8 +154,8 @@ class TestEnumerationOrder:
             raise AssertionError("an error was built")
 
         monkeypatch.setattr(errorspace, "_from_planes", built)
-        with pytest.raises(CapExceededError):
-            enumerate_errors(2**12 - 1, 1)
+        with pytest.raises(SizeLimitError):
+            enumerate_errors(2**14 - 1, 1)
 
 
 class TestFilter:

@@ -30,7 +30,6 @@ from twep.pauli import (
 )
 from twep.protocols import _x_over, _z_over, get, hamming_family, names
 from twep.stabilizer import (
-    SizeLimitError,
     StabilizerSet,
     _operator,
     _packed,
@@ -253,7 +252,7 @@ def test_complete_discard_matches_on_the_registry_discards(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, registers",
-    [(4, ()), (12, range(10)), (4, (0, 4)), (4, (-1,)), (12, range(-1, 9))],
+    [(4, ()), (9, range(10)), (4, (0, 4)), (4, (-1,)), (12, range(-1, 9))],
     ids=["empty", "oversized", "past-n", "negative", "oversized-and-negative"],
 )
 def test_complete_discard_rejects_like_the_candidate_scan(n, registers):
@@ -262,4 +261,33 @@ def test_complete_discard_rejects_like_the_candidate_scan(n, registers):
         got = _raised(complete_discard, s, registers)
         assert isinstance(got, tuple)
         assert got == _raised(complete_discard_reference, s, registers)
-    assert _raised(complete_discard, StabilizerSet(2, 12), range(10))[0] is SizeLimitError
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_complete_discard_of_ten_registers_is_maximal(d):
+    """Past the candidate scan's reach, by tuple ranks: the completion of
+    registers 0..9 of random stabilizers on 12 registers stays on the region
+    and ``extend`` accepts each pick, so it commutes and is independent.
+    An operator on the region commutes with the grown generators iff it
+    annihilates their region columns, so those operators span 20 - rank(on)
+    dimensions, and rank(grown) - rank(off) of them lie in the grown group.
+    Maximal means the two counts agree."""
+    rng = random.Random(40 + d)
+    region = range(10)
+
+    def cut(gens, sites):
+        keep = [i in sites for i in range(12)]
+        return [
+            PauliVec(d, 12, *(tuple(v * k for v, k in zip(u, keep)) for u in (g.x, g.z)))
+            for g in gens
+        ]
+
+    for rank in (0, 3, 6):
+        s = random_stabilizer(rng, d, 12, rank)
+        grown = s
+        for p in complete_discard(s, region):
+            assert not any(p.x[10:] + p.z[10:])
+            grown = grown.extend(p)
+        on = prop_checks.rank_reference(cut(grown.gens, region))
+        off = prop_checks.rank_reference(cut(grown.gens, range(10, 12)))
+        assert 20 - on == grown.rank - off

@@ -187,9 +187,20 @@ class TestCompleteDiscard:
                 assert grown.rank == 9
 
     def test_rejects_oversized_region(self):
-        s = StabilizerSet(2, 12)
-        with pytest.raises(SizeLimitError):
-            complete_discard(s, set(range(10)))
+        """A region of more registers than the stabilizer has."""
+        with pytest.raises(ValueError, match="out of range"):
+            complete_discard(StabilizerSet(2, 9), set(range(10)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ten_register_region_completes(self, d):
+        """A region has no register bound: discarding all ten registers
+        completes the stabilizer to full rank, and ``extend`` accepts each
+        pick, so each commutes and is independent."""
+        every_x = PauliVec.from_sites(d, 10, dict.fromkeys(range(10), (1, 0)))
+        s = grown = StabilizerSet(d, 10, [every_x])
+        for p in complete_discard(s, range(10)):
+            grown = grown.extend(p)
+        assert grown.rank == 10
 
     def test_rejects_empty_region(self):
         with pytest.raises(ValueError):

@@ -185,7 +185,10 @@ def test_faults_in_two_branches_raise_the_first_errors_fault(after, raised):
         (Measure(parse("XX", 2)), "IllegalMeasurement: XX acts on d=2, n=2"),
         (Measure(parse("X,X,I,I,I,I,I,I,I,I", 3)), "IllegalMeasurement"),
         (Measure("XXIIIIIIII"), "IllegalMeasurement: 'XXIIIIIIII' is not a PauliVec"),
-        (Discard(frozenset(range(10))), "IllegalDiscard: discard of 10 registers"),
+        (
+            Discard(frozenset(range(11))),
+            "IllegalDiscard: discard registers [10] lie outside 0..9",
+        ),
         (Discard(frozenset()), "IllegalDiscard: discard of no registers"),
         (Discard(frozenset({3, 10, -1})), "IllegalDiscard: discard registers [-1, 10]"),
         (Discard(frozenset({1.5})), "IllegalDiscard: discard registers 1.5 are not"),
@@ -216,6 +219,18 @@ def test_strategy_faults_become_counterexamples_like_the_oracle(step, reason):
     assert len(report.counterexamples) == report.errors_checked
     assert all(c.reason.startswith(reason) for c in report.counterexamples)
     assert all(c.transcript is None for c in report.counterexamples)
+
+
+@pytest.mark.parametrize("d, n", [(2, 10), (3, 10), (2, 12)])
+def test_a_ten_register_discard_completes_like_the_oracle(d, n):
+    """A discard has no register bound: discarding registers 0..9 grows the
+    stabilizer to rank 10, so every Finish leaf certifies n - 10 pairs, and
+    only a discard of all n registers leaves every leaf in one coset."""
+    report = assert_walk_matches_oracle(
+        scripted(d, n, 1, [Discard(frozenset(range(10)))])
+    )
+    assert report.k_min == n - 10
+    assert report.passed == (n == 10)
 
 
 def test_report_text_escapes_a_reason_like_json():
