@@ -4,18 +4,20 @@ search and the best-splitter scan.
 Row reduction works on vectors packed into bit-planes, as operators are
 (see ``pauli``): a vector over Z_d is a pair of integers (one, two), bit c
 of ``one`` (``two``) set iff column c holds 1 (2); for d=2 ``two`` is 0.
+An operator's planes are its row, x[i] at column 2i and z[i] at 2i + 1.
 One reducer, ``Echelon``, serves both dimensions: for d=2 eliminating a
 column is one XOR, for d=3 one two-plane add.  The minimum-weight search
-reduces its syndrome rows with it.  The best-splitter scan assumes d=2 and
-takes operators packed as two integers (x bits, z bits), register i at
-bit i.
+reduces its syndrome rows with it.  The two scans take operators compact,
+as an x plane and a z plane with register i at bit i; ``interleave`` and
+``split`` convert between that and a row plane, at C level.  The
+best-splitter scan assumes d=2.
 
 The splitter scan is transposed: each complement basis vector becomes one
 bit-row over the error list (bit e set iff the vector anticommutes with
 error e), so a candidate's anticommuting count is the popcount of the XOR
-of its rows.  Its tie-break key is linear too: the canonical key is the
-Morton interleave of x and z, and the smallest key in a coset of the span
-is a linear projection of any key in it.  Those projected keys are put in
+of its rows.  Its tie-break key is linear too: for d=2 the canonical key is
+the row plane, and the smallest key in a coset of the span is a linear
+projection of any key in it.  Those projected keys are put in
 fully reduced GF(2) echelon form, each carrying its row, and sorted by
 pivot: the key of a combination then rises with its mask, since for masks
 a != b the top bit of key(a) ^ key(b) is the highest pivot in a ^ b.  The
@@ -25,6 +27,8 @@ a block that reaches a lower bound no candidate can beat.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 
 def kernel_backend() -> str:
@@ -128,8 +132,11 @@ def min_weight_excluding_span(
     if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
     xs, zs = span_x + comp_x, span_z + comp_z
-    x1, x2 = _columns([x for x, _ in xs], n), _columns([x for _, x in xs], n)
-    z1, z2 = _columns([z for z, _ in zs], n), _columns([z for _, z in zs], n)
+    x1, z1 = _columns([x for x, _ in xs], n), _columns([z for z, _ in zs], n)
+    if d == 2:  # no value-2 planes
+        x2 = z2 = [0] * n
+    else:
+        x2, z2 = _columns([x for _, x in xs], n), _columns([z for _, z in zs], n)
     # Syndrome rows of X and Z on each site, column j for basis operator j:
     # <X_i, b> = z_b[i] and <Z_i, b> = -x_b[i], taken as x_b[i], since
     # scaling a row leaves the row space as it is.
@@ -157,21 +164,23 @@ def min_weight_excluding_span(
     return n
 
 
-def _interleave_key(x: int, z: int, n: int) -> int:
-    """Canonical operator key: base-4 digits x+2z, register 0 least significant."""
-    key = 0
-    for i in range(n - 1, -1, -1):
-        key = (key << 2) | (((x >> i) & 1) | (((z >> i) & 1) << 1))
-    return key
+def interleave(x: int, z: int) -> int:
+    """The row plane of compact x and z planes: bit i of x at bit 2i and of
+    z at bit 2i + 1.  A binary numeral read in base 4 moves bit i to 2i."""
+    return int(f"{x:b}", 4) + 2 * int(f"{z:b}", 4)
 
 
-def _deinterleave(key: int, n: int) -> tuple[int, int]:
-    """Inverse of ``_interleave_key``: the (x, z) bits of a key."""
-    x = z = 0
-    for i in range(n):
-        x |= ((key >> (2 * i)) & 1) << i
-        z |= ((key >> (2 * i + 1)) & 1) << i
-    return x, z
+def split(rows: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Inverse of ``interleave`` on row planes over n >= 1 registers: their
+    compact x planes and their compact z planes.  In a row's binary numeral
+    of 2n digits the odd positions hold x and the even ones z, so slicing
+    the rows' numerals, joined, gives the x planes and the z planes, each
+    joined in n-bit fields."""
+    numerals = "".join(map(format, rows, repeat(f"0{2 * n}b")))
+    x, z = int(numerals[1::2] or "0", 2), int(numerals[::2] or "0", 2)
+    low = (1 << n) - 1
+    shifts = range(n * (len(rows) - 1), -1, -n)
+    return [x >> s & low for s in shifts], [z >> s & low for s in shifts]
 
 
 def _coset_min(v: int, basis: list[int]) -> int:
@@ -216,8 +225,8 @@ def _combinations(rows: list[int]) -> list[int]:
 def _anticommuting(x: int, z: int, err_x: list[int], err_z: list[int]) -> int:
     """Bit-row of an operator: bit e set iff it anticommutes with error e."""
     row = 0
-    for e, (ex, ez) in enumerate(zip(err_x, err_z)):
-        row |= (((x & ez) ^ (z & ex)).bit_count() & 1) << e
+    for ex, ez in zip(reversed(err_x), reversed(err_z)):
+        row = row << 1 | ((x & ez) ^ (z & ex)).bit_count() & 1
     return row
 
 
@@ -250,10 +259,10 @@ def best_splitter(
     ne = len(err_x)
     if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
-    span_keys = [_interleave_key(x, z, n) for x, z in zip(span_x, span_z)]
+    span_keys = list(map(interleave, span_x, span_z))
     span = [k for k, _ in _key_order(span_keys, [0] * len(span_keys))]
     basis = _key_order(
-        [_coset_min(_interleave_key(x, z, n), span) for x, z in zip(comp_x, comp_z)],
+        [_coset_min(interleave(x, z), span) for x, z in zip(comp_x, comp_z)],
         [_anticommuting(x, z, err_x, err_z) for x, z in zip(comp_x, comp_z)],
     )
     rows = [r for _, r in basis]
@@ -278,6 +287,6 @@ def best_splitter(
     for j, (k, _) in enumerate(basis):
         if winner >> j & 1:
             key ^= k
-    best_x, best_z = _deinterleave(key, n)
+    (best_x,), (best_z,) = split([key], n)
     anti = _anticommuting(best_x, best_z, err_x, err_z).bit_count()
     return best_x, best_z, ne - anti, anti

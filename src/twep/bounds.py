@@ -33,8 +33,8 @@ def hamming_max_k(n: int, t: int) -> int:
 
 def singleton_max_k(n: int, t: int) -> int:
     """Linear-bound limit n - 4t, floored at the -1 sentinel."""
-    if t < 0:
-        raise ValueError(f"t={t} is negative")
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} lies outside 0..{n}")
     k = n - 4 * t
     return k if k >= 0 else -1
 

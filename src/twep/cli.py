@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
+from operator import mul
 
 import click
 
@@ -118,13 +119,10 @@ def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
         return
     # Demo view of the classical exchange: one party's raw results are fixed
     # to 0, the other's then carry the parity offset of the operator (the
-    # sum of x[i]·z[i] over its sites, from the planes as in its symplectic
-    # product) plus the outcome.
+    # sum of x[i]·z[i] over its sites) plus the outcome.
     records = transcript.to_records()
     for record, (op, outcome) in zip(records, transcript.history.entries):
-        offset = (op.x1 & op.z1 | op.x2 & op.z2).bit_count() + 2 * (
-            op.x1 & op.z2 | op.x2 & op.z1
-        ).bit_count()
+        offset = sum(map(mul, op.x, op.z))
         record.update(alice=0, bob=(offset + outcome) % op.d)
     click.echo("\n".join(map(json.dumps, records)))
 

@@ -36,10 +36,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from . import errorspace
-from .errorspace import ErrorSet, coset_classes, filter_by_outcome
+from .errorspace import coset_classes, filter_by_outcome
 # multiply is unused here; perfbench's tracer wraps ``engine.multiply``.
-from .pauli import PauliVec, _product, multiply, render, symplectic_product, weight
-from .stabilizer import StabilizerSet, _packed, complete_discard
+from .pauli import PauliVec, _dot, _dual, multiply, render, symplectic_product, weight
+from .stabilizer import StabilizerSet, complete_discard
 
 
 class ProtocolError(Exception):
@@ -374,11 +374,12 @@ def verify(strategy: Strategy) -> Report:
     ProtocolError propagates exactly where that loop would raise it.
 
     A node splits its errors by outcome on their bit-planes, read once into
-    lists; for d=2 the commutation value is an inline popcount.  A Finish
-    leaf reduces each error's packed row modulo the stabilizer's row space
-    and requires every residue to equal the first error's: that is the
-    test ``coset_classes`` makes, which runs only to count the classes of
-    an UnsoundFinish.  The correction is the leaf's first error:
+    lists: the measured operator's dual row is built once, and an error's
+    outcome is its dot product with that row, for d=2 an inline AND and
+    popcount.  A Finish leaf reduces each error's row modulo the
+    stabilizer's row space and requires one residue, which is the test
+    ``coset_classes`` makes; an UnsoundFinish counts the distinct residues
+    as its classes.  The correction is the leaf's first error:
     ``coset_classes`` would return the least member by (weight, canonical
     key), the enumeration is strictly increasing in that order and a node's
     indices are ascending.
@@ -408,18 +409,18 @@ def _walk(
     k_values: list[int] = []
     completions: dict[tuple, tuple[list[PauliVec], StabilizerSet]] = {}
 
-    x1 = [e.x1 for e in members]
-    z1 = [e.z1 for e in members]
+    ones = [e.one for e in members]
+    twos = [e.two for e in members]
 
     def split(op: PauliVec, reached: tuple[int, ...]):
         parts: list[list[int]] = [[] for _ in range(d)]
-        if d == 2:  # _product inlined on the precomputed planes
-            ox, oz = op.x1, op.z1
+        u1, u2 = _dual(op)
+        if d == 2:  # _dot inlined
             for i in reached:
-                parts[((ox & z1[i]) ^ (oz & x1[i])).bit_count() & 1].append(i)
+                parts[(u1 & ones[i]).bit_count() & 1].append(i)
         else:
             for i in reached:
-                parts[_product(op, members[i], d)].append(i)
+                parts[_dot(3, u1, u2, ones[i], twos[i])].append(i)
         return [(outcome, tuple(part)) for outcome, part in enumerate(parts) if part]
 
     frontier = [(0, 0, History(), StabilizerSet(d, n), tuple(range(len(members))))]
@@ -446,13 +447,11 @@ def _walk(
                 added, grown = completed
             elif isinstance(step, Finish):
                 reduce = s._rows.reduce
-                first = reduce(*_packed(members[reached[0]]))
-                if any(reduce(*_packed(members[i])) != first for i in reached[1:]):
-                    survivors = ErrorSet(d, n, tuple(members[i] for i in reached))
+                residues = {reduce(ones[i], twos[i]) for i in reached}
+                if len(residues) > 1:
                     raise UnsoundFinish(
-                        f"{len(reached)} surviving errors span "
-                        f"{len(coset_classes(survivors, s).classes)} distinct cosets;"
-                        " finished too early"
+                        f"{len(reached)} surviving errors span {len(residues)}"
+                        " distinct cosets; finished too early"
                     )
             else:
                 raise TypeError(f"strategy returned {step!r}, not a Step")

@@ -12,13 +12,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .pauli import PauliVec, _from_planes, canonical_key, symplectic_product, weight
+from .pauli import PauliVec, _dot, _dual, _from_planes, canonical_key, weight
+# Unused here; perfbench's tracer wraps ``errorspace.symplectic_product``.
+from .pauli import symplectic_product
 from .stabilizer import SizeLimitError, StabilizerSet
 
 # A verification walk holds about BYTES_PER_ERROR per error (its operator,
 # its index in the lists and a possible counterexample) plus ceil(n/8) bytes
-# for each bit-plane the error carries: 2 for d=2, 4 for d=3.  Fitted to peak
-# RSS above an interpreter that has imported twep (Python 3.11, 2 vCPUs):
+# per n columns of bit-plane it carries: 2 for d=2 (one plane of 2n
+# columns) and 4 for d=3 (two).  Fitted to peak RSS above an interpreter
+# that has imported twep (Python 3.11, 2 vCPUs):
 # hamming m = 10 holds 2.3 MB (estimate 3.0 MB), m = 13 51 MB (66 MB), and
 # discarding 9 of 12 registers at t = 6 holds 345 MB (672 MB).  The limit
 # admits hamming m = 13 and refuses m = 14 (228 MB).
@@ -73,25 +76,27 @@ def enumerate_errors(n: int, t: int, d: int = 2) -> ErrorSet:
     order of the rest, which lies on the sites below: the errors of weight
     w with top site s are the ones of weight w - 1 on the sites below s,
     in order, with each nonzero digit placed at s, in turn."""
-    if t > n:
-        raise ValueError(f"weight bound t={t} exceeds register count n={n}")
+    if not 0 <= t <= n:
+        raise ValueError(f"weight bound t={t} lies outside 0..{n}")
     check_size(n, t, d)
-    # Planes (x1, x2, z1, z2) of each nonzero site digit x + d*z, ascending.
-    digits = [(x == 1, x == 2, z == 1, z == 2) for z in range(d) for x in range(d)][1:]
+    # Planes (one, two) of each nonzero site digit x + d*z on site 0,
+    # ascending: x in column 0, z in column 1.
+    digits = [
+        ((x == 1) | (z == 1) << 1, (x == 2) | (z == 2) << 1)
+        for z in range(d)
+        for x in range(d)
+    ][1:]
     # The planes of every error of the last weight, in order, and how many
     # of them lie on the sites below s, for each s.
-    level, below = [(0, 0, 0, 0)], [1] * (n + 1)
+    level, below = [(0, 0)], [1] * (n + 1)
     planes = list(level)
     for _ in range(t):
         grown, counts = [], []
         for s in range(n):
             counts.append(len(grown))
-            for a1, a2, b1, b2 in digits:
-                a1, a2, b1, b2 = a1 << s, a2 << s, b1 << s, b2 << s
-                grown += [
-                    (x1 | a1, x2 | a2, z1 | b1, z2 | b2)
-                    for x1, x2, z1, z2 in level[: below[s]]
-                ]
+            for a1, a2 in digits:
+                a1, a2 = a1 << 2 * s, a2 << 2 * s
+                grown += [(one | a1, two | a2) for one, two in level[: below[s]]]
         level, below = grown, counts + [len(grown)]
         planes += level
     return ErrorSet(d, n, tuple(_from_planes(d, n, *p) for p in planes))
@@ -101,7 +106,10 @@ def filter_by_outcome(errors: ErrorSet, m: PauliVec, outcome: int) -> ErrorSet:
     """Members whose commutation value against m equals the outcome."""
     if m.d != errors.d or m.n != errors.n:
         raise ValueError("measurement operator does not match the error set")
-    kept = tuple(e for e in errors.members if symplectic_product(m, e) == outcome)
+    u1, u2 = _dual(m)
+    kept = tuple(
+        e for e in errors.members if _dot(m.d, u1, u2, e.one, e.two) == outcome
+    )
     return ErrorSet(errors.d, errors.n, kept)
 
 

@@ -9,20 +9,24 @@ Supported dimensions are the primes 2 and 3.  Text form for d=2 is a string
 over ``I X Y Z`` (``Y`` is the phaseless ``XZ``); for d=3 it is a
 comma-separated list of site tokens ``I X X2 Z Z2 XZ XZ2 X2Z X2Z2``.
 
-An operator is stored as four bit-planes, one integer each, register i at
-bit i: bit i of ``x1`` (``x2``) is set iff ``x[i]`` is 1 (2), and likewise
-``z1`` and ``z2``; for d=2 the value-2 planes are 0.  Equality, hashing,
-products, weights, keys and text all read the planes; the tuples ``x`` and
-``z`` are unpacked from them on first read and then kept.  The commutation
-value of a and b in both dimensions is
+An operator is stored in one interleaved layout: column 2i holds x[i] and
+column 2i + 1 holds z[i], and bit c of the plane ``one`` (``two``) is set
+iff column c holds 1 (2); for d=2 ``two`` is 0.  The planes are at once the
+operator's row in the symplectic matrix that ``_kernels.Echelon`` reduces
+and, read in base d, its canonical key.  Equality, hashing, products,
+weights, keys and text all read the planes; the tuples ``x`` and ``z`` are
+unpacked from them on first read and then kept.
 
-    pop(a.x1&b.z1 | a.x2&b.z2) + 2·pop(a.x1&b.z2 | a.x2&b.z1)
-    - (the same with x and z swapped)   (mod d)
+The commutation value of a and b in both dimensions is the dot product
+over Z_d of b with the dual row of a, which holds -z[i] at column 2i and
+x[i] at column 2i + 1, so that site i adds x_a·z_b - z_a·x_b.  A column's
+product is 1 where the values are (1, 1) or (2, 2) and 2 where they are
+(1, 2) or (2, 1), mod 3, so the dot product of (u1, u2) and (v1, v2) is
 
-since site i adds x_a·z_b - z_a·x_b and x_a·z_b is 1 exactly where the
-exponents are (1, 1) or (2, 2) and 2 exactly where they are (1, 2) or
-(2, 1), mod 3.  For d=2 it is the parity of pop((a.x1&b.z1) ^ (a.z1&b.x1)),
-as in Aaronson and Gottesman's packed tableau.
+    pop(u1&v1 | u2&v2) + 2·pop(u1&v2 | u2&v1)   (mod d),
+
+and for d=2 the parity of pop(u1&v1), as in Aaronson and Gottesman's
+packed tableau.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from ._kernels import _add3
 SUPPORTED_DIMENSIONS = (2, 3)
 _DIGITS = {d: frozenset(range(d)) for d in SUPPORTED_DIMENSIONS}
 
-# bytes.translate tables: exponent bytes to the ASCII bits of one plane,
+# bytes.translate tables: column values to the ASCII bits of one plane,
 # and ASCII bits back to bytes.
 _PLANE_ONE = bytes.maketrans(b"\0\1\2", b"010")
 _PLANE_TWO = bytes.maketrans(b"\0\1\2", b"001")
@@ -77,14 +81,14 @@ class PauliSyntaxError(ValueError):
 
 class PauliVec:
     """A phaseless Pauli operator as a symplectic vector over Z_d, stored as
-    its bit-planes ``x1``, ``x2``, ``z1`` and ``z2``.  Immutable."""
+    its bit-planes ``one`` and ``two``.  Immutable."""
 
     # ``_hash`` is computed on first use and kept: strategies, relabellings
     # and the discard memo hash the same operators many times.  ``x`` and
     # ``z`` are cached properties, so they live in the instance dict once
     # read.  No __getattr__: it would stop the interpreter from
     # specializing every attribute read of the class.
-    __slots__ = ("d", "n", "x1", "x2", "z1", "z2", "_hash", "__dict__")
+    __slots__ = ("d", "n", "one", "two", "_hash", "__dict__")
 
     def __init__(self, d: int, n: int, x: tuple[int, ...], z: tuple[int, ...]):
         if d not in SUPPORTED_DIMENSIONS:
@@ -94,22 +98,25 @@ class PauliVec:
         digits = _DIGITS[d]
         if not (digits.issuperset(x) and digits.issuperset(z)):
             raise ValueError("exponents must lie in [0, d)")
-        # One binary literal per plane value holds x in its low n bits and z
-        # above them, register 0 last; b"\0" stands in for no registers.
-        sites = bytes(x + z)[::-1] or b"\0"
-        low = (1 << n) - 1
-        ones = int(sites.translate(_PLANE_ONE), 2)
-        twos = int(sites.translate(_PLANE_TWO), 2) if d == 3 else 0
-        _store(self, d, n, ones & low, twos & low, ones >> n, twos >> n)
+        # One binary literal per plane, column 0 last; b"\0" stands in for
+        # no registers.
+        columns = bytearray(2 * n)
+        columns[::2] = x
+        columns[1::2] = z
+        columns.reverse()
+        columns = columns or b"\0"
+        one = int(columns.translate(_PLANE_ONE), 2)
+        two = int(columns.translate(_PLANE_TWO), 2) if d == 3 else 0
+        _store(self, d, n, one, two)
         self.__dict__.update(x=x, z=z)
 
     @cached_property
     def x(self) -> tuple[int, ...]:
-        return _unpack(self.n, self.x1, self.x2)
+        return tuple(_column_values(self)[::2])
 
     @cached_property
     def z(self) -> tuple[int, ...]:
-        return _unpack(self.n, self.z1, self.z2)
+        return tuple(_column_values(self)[1::2])
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -152,7 +159,7 @@ class PauliVec:
 
     @property
     def is_identity(self) -> bool:
-        return not (self.x1 | self.x2 | self.z1 | self.z2)
+        return not (self.one | self.two)
 
     def __str__(self) -> str:
         return render(self)
@@ -160,26 +167,23 @@ class PauliVec:
 
 _new = object.__new__
 _set = object.__setattr__
-_planes = attrgetter("d", "n", "x1", "x2", "z1", "z2")
+_planes = attrgetter("d", "n", "one", "two")
 
 
-def _store(p: PauliVec, d: int, n: int, x1: int, x2: int, z1: int, z2: int) -> None:
+def _store(p: PauliVec, d: int, n: int, one: int, two: int) -> None:
     _set(p, "d", d)
     _set(p, "n", n)
-    _set(p, "x1", x1)
-    _set(p, "x2", x2)
-    _set(p, "z1", z1)
-    _set(p, "z2", z2)
+    _set(p, "one", one)
+    _set(p, "two", two)
     _set(p, "_hash", None)
 
 
-def _from_planes(d: int, n: int, x1: int, x2: int, z1: int, z2: int) -> PauliVec:
+def _from_planes(d: int, n: int, one: int, two: int) -> PauliVec:
     """The operator with the given planes, unchecked: every operator built
-    inside the package comes from here.  The planes must be consistent:
-    no bit at or above n, no bit set in both planes of one component, and
-    value-2 planes of 0 for d=2."""
+    inside the package comes from here.  The planes must be consistent: no
+    bit at or above 2n, no bit set in both, and ``two`` 0 for d=2."""
     p = _new(PauliVec)
-    _store(p, d, n, x1, x2, z1, z2)
+    _store(p, d, n, one, two)
     return p
 
 
@@ -190,37 +194,39 @@ def _check_compatible(p: PauliVec, q: PauliVec) -> None:
         )
 
 
-def _product(a: PauliVec, b: PauliVec, d: int) -> int:
-    """Commutation value of two same-shape PauliVecs over Z_d, from their
-    bit-planes (formula in the module docstring)."""
+def _x_columns(n: int) -> int:
+    """The mask of the x columns 0, 2, .., 2n - 2."""
+    return (1 << 2 * n) // 3
+
+
+def _dual(p: PauliVec) -> tuple[int, int]:
+    """The planes of p's dual row: -z[i] at column 2i and x[i] at 2i + 1."""
+    even, one, two = _x_columns(p.n), p.one, p.two
+    if p.d == 2:
+        return one >> 1 & even | (one & even) << 1, 0
+    # Negation swaps the value planes of the z columns.
+    return two >> 1 & even | (one & even) << 1, one >> 1 & even | (two & even) << 1
+
+
+def _dot(d: int, u1: int, u2: int, v1: int, v2: int) -> int:
+    """Dot product over Z_d of the rows (u1, u2) and (v1, v2)."""
     if d == 2:
-        return ((a.x1 & b.z1) ^ (a.z1 & b.x1)).bit_count() & 1
-    xz = (a.x1 & b.z1 | a.x2 & b.z2).bit_count() + 2 * (
-        a.x1 & b.z2 | a.x2 & b.z1
-    ).bit_count()
-    zx = (a.z1 & b.x1 | a.z2 & b.x2).bit_count() + 2 * (
-        a.z1 & b.x2 | a.z2 & b.x1
-    ).bit_count()
-    return (xz - zx) % d
+        return (u1 & v1).bit_count() & 1
+    return ((u1 & v1 | u2 & v2).bit_count() + 2 * (u1 & v2 | u2 & v1).bit_count()) % 3
 
 
-def _spread(n: int, plane: int) -> int:
-    """The plane with bit i moved to byte i."""
-    return int.from_bytes(f"{plane:0{n}b}".encode().translate(_ASCII_BITS), "big")
+def _spread(width: int, plane: int) -> int:
+    """The plane with bit c moved to byte c."""
+    return int.from_bytes(f"{plane:0{width}b}".encode().translate(_ASCII_BITS), "big")
 
 
-def _unpack(n: int, one: int, two: int) -> tuple[int, ...]:
-    """Exponent vector of the value-1 and value-2 planes of one component."""
-    return tuple((_spread(n, one) + 2 * _spread(n, two)).to_bytes(n, "little"))
-
-
-def _site_digits(p: PauliVec) -> bytes:
-    """One byte per register, register 0 first: the site digit x + d*z."""
-    d, n = p.d, p.n
-    digits = _spread(n, p.x1) + d * _spread(n, p.z1)
-    if d == 3:
-        digits += 2 * _spread(n, p.x2) + 6 * _spread(n, p.z2)
-    return digits.to_bytes(n, "little")
+def _column_values(p: PauliVec) -> bytes:
+    """One byte per column, column 0 first: the value it holds."""
+    width = 2 * p.n
+    values = _spread(width, p.one)
+    if p.d == 3:
+        values += 2 * _spread(width, p.two)
+    return values.to_bytes(width, "little")
 
 
 def symplectic_product(p: PauliVec, q: PauliVec) -> int:
@@ -229,37 +235,31 @@ def symplectic_product(p: PauliVec, q: PauliVec) -> int:
     Zero iff the operators commute; for d=2 this is the anticommutation bit.
     """
     _check_compatible(p, q)
-    return _product(p, q, p.d)
+    return _dot(p.d, *_dual(p), q.one, q.two)
 
 
 def multiply(p: PauliVec, q: PauliVec) -> PauliVec:
     """Phaseless product: componentwise exponent addition mod d."""
     _check_compatible(p, q)
     if p.d == 2:
-        return _from_planes(2, p.n, p.x1 ^ q.x1, 0, p.z1 ^ q.z1, 0)
-    x1, x2 = _add3(p.x1, p.x2, q.x1, q.x2)
-    z1, z2 = _add3(p.z1, p.z2, q.z1, q.z2)
-    return _from_planes(3, p.n, x1, x2, z1, z2)
+        return _from_planes(2, p.n, p.one ^ q.one, 0)
+    return _from_planes(3, p.n, *_add3(p.one, p.two, q.one, q.two))
 
 
 def weight(p: PauliVec) -> int:
     """Number of registers on which p acts nontrivially."""
-    return (p.x1 | p.x2 | p.z1 | p.z2).bit_count()
+    support = p.one | p.two
+    return ((support | support >> 1) & _x_columns(p.n)).bit_count()
 
 
 def canonical_key(p: PauliVec) -> int:
     """Total order on same-shape operators: base-d^2 digits x+d*z, site 0 least
     significant.  Per-site digit order is I < X < .. < Z < .. so that pure-X
-    operators sort before pure-Z ones on the same support.  A plane's binary
-    digits read in base d^2 put its bit i at digit i."""
+    operators sort before pure-Z ones on the same support.  That is the row
+    read in base d, column c at digit c, which for d=2 is the plane ``one``."""
     if p.d == 2:
-        return int(f"{p.x1:b}", 4) + 2 * int(f"{p.z1:b}", 4)
-    return (
-        int(f"{p.x1:b}", 9)
-        + 2 * int(f"{p.x2:b}", 9)
-        + 3 * int(f"{p.z1:b}", 9)
-        + 6 * int(f"{p.z2:b}", 9)
-    )
+        return p.one
+    return int(f"{p.one:b}", 3) + 2 * int(f"{p.two:b}", 3)
 
 
 def parse(text: str, d: int) -> PauliVec:
@@ -294,7 +294,12 @@ def parse(text: str, d: int) -> PauliVec:
 
 def render(p: PauliVec) -> str:
     """Render to canonical text; inverse of parse on valid input."""
-    digits = _site_digits(p)
+    columns = _column_values(p)
+    # One byte per register, register 0 first: the site digit x + d*z.
+    digits = (
+        int.from_bytes(columns[::2], "little")
+        + p.d * int.from_bytes(columns[1::2], "little")
+    ).to_bytes(p.n, "little")
     if p.d == 2:
         return digits.translate(_QUBIT_RENDER).decode()
     return ",".join(map(_QUTRIT_RENDER.__getitem__, digits))

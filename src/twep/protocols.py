@@ -2,8 +2,8 @@
 
 Each factory returns a strategy whose step function recomputes its branch
 state from the history alone, so replaying a history always reproduces the
-step.  All corrections flow through the engine's generic candidate
-filtering; none of the strategies owns a syndrome lookup table.
+step.  None of the strategies owns a syndrome lookup table: the engine
+corrects with a surviving candidate error.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ class NamedProtocol:
 
 
 def _x_over(n: int, sites) -> PauliVec:
-    return _from_planes(2, n, sum(1 << i for i in sites), 0, 0, 0)
+    return _from_planes(2, n, sum(1 << 2 * i for i in sites), 0)
 
 
 def _z_over(n: int, sites) -> PauliVec:
-    return _from_planes(2, n, 0, 0, sum(1 << i for i in sites), 0)
+    return _from_planes(2, n, sum(2 << 2 * i for i in sites), 0)
 
 
 def six_pair() -> Strategy:

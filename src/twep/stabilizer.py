@@ -4,10 +4,12 @@ A stabilizer is an ordered list of mutually commuting, independent phaseless
 Pauli operators.  All the questions this module answers (rank, membership,
 normalizer tests, syndromes, logical count, discard completion) reduce to
 exact Gaussian elimination on the (x|z) matrix over the field Z_d; no
-floating point appears anywhere.  The matrix rows are packed like the
-operators: an operator's row is its bit-planes over 2n columns, x at bit i
-and z at bit n + i, and ``_kernels.Echelon`` reduces them for both
-dimensions.
+floating point appears anywhere.  An operator's row is its own pair of
+bit-planes over 2n columns, x[i] at column 2i and z[i] at 2i + 1, and
+``_kernels.Echelon`` reduces the rows for both dimensions.  The same layout
+makes the integer order of a row's columns the canonical key order, and
+the dual rows of the generators (``pauli._dual``) the constraints whose
+nullspace is the normalizer.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
-from ._kernels import Echelon
+from ._kernels import Echelon, split
 # multiply is unused here; perfbench's tracer wraps ``stabilizer.multiply``.
 from .pauli import (
     DimensionMismatchError,
     PauliVec,
+    _dot,
+    _dual,
     _from_planes,
     multiply,
     symplectic_product,
-    weight,
 )
 
 ENUMERATION_MAX_N = 12
@@ -32,17 +35,6 @@ ENUMERATION_MAX_N = 12
 
 class SizeLimitError(ValueError):
     """An exhaustive enumeration or scan was requested beyond its size gate."""
-
-
-def _packed(p: PauliVec) -> tuple[int, int]:
-    """The operator's row: its value-1 and value-2 planes over 2n columns."""
-    return p.x1 | p.z1 << p.n, p.x2 | p.z2 << p.n
-
-
-def _operator(d: int, n: int, one: int, two: int) -> PauliVec:
-    """The operator whose row is (one, two); inverse of ``_packed``."""
-    low = (1 << n) - 1
-    return _from_planes(d, n, one & low, two & low, one >> n, two >> n)
 
 
 def rank(gens: Sequence[PauliVec]) -> int:
@@ -54,7 +46,7 @@ def rank(gens: Sequence[PauliVec]) -> int:
     for g in gens:
         if g.d != d or g.n != n:
             raise DimensionMismatchError("generators disagree on d or n")
-        rows = rows.insert(*_packed(g)) or rows
+        rows = rows.insert(g.one, g.two) or rows
     return len(rows)
 
 
@@ -121,7 +113,7 @@ class StabilizerSet:
         """The set with p appended, or None if p is in the span; p must have
         this set's shape and commute with it.  Reduces p once, so callers
         that test membership before extending share this one reduction."""
-        rows = self._rows.insert(*_packed(p))
+        rows = self._rows.insert(p.one, p.two)
         if rows is None:
             return None
         new = object.__new__(StabilizerSet)
@@ -136,11 +128,10 @@ class StabilizerSet:
         return len(self._rows)
 
     def residue(self, p: PauliVec) -> int:
-        """Canonical representative of p's coset modulo the row space,
-        packed into one integer: bit c (bit 2n + c) set iff column c of the
-        representative holds 1 (2)."""
+        """Canonical representative of p's coset modulo the row space, as
+        one integer: the representative's planes, ``one | two << 2n``."""
         self._check(p)
-        one, two = self._rows.reduce(*_packed(p))
+        one, two = self._rows.reduce(p.one, p.two)
         return one | two << 2 * self.n
 
     def is_member(self, p: PauliVec) -> bool:
@@ -150,7 +141,8 @@ class StabilizerSet:
     def in_normalizer(self, p: PauliVec) -> bool:
         """True iff p commutes with every generator."""
         self._check(p)
-        return all(symplectic_product(p, g) == 0 for g in self.gens)
+        u1, u2 = _dual(p)
+        return not any(_dot(self.d, u1, u2, g.one, g.two) for g in self.gens)
 
     def syndrome(self, e: PauliVec) -> Syndrome:
         """Per-generator commutation values, in measurement order."""
@@ -169,73 +161,62 @@ def complete_discard(s: StabilizerSet, discard: Iterable[int]) -> list[PauliVec]
     ascending canonical-key order keeps
     (``prop_checks.complete_discard_reference``), found by row reduction.
 
-    Local coordinates put x of the j-th discarded register (ascending) at
-    column 2j and z at 2j + 1, so keys compare columns from the highest
-    down.  V, the operators there commuting with the current generators,
-    is the nullspace of one constraint row per generator.  The rows'
-    pivots are their lowest columns, so V's fully reduced basis has one
-    vector per free column f: 1 at f, 0 at the other free columns, nothing
-    above f.  An element of V is led by its highest nonzero free column,
-    and the least element led by f is f's basis vector.  So the least key
-    among the elements of V outside the span, which is the scan's next
-    pick as a rejected candidate stays rejected, is the first basis vector
-    outside the span.  After a pick at f every element of the new V led by
-    a column up to f lies in the new span: the search resumes at f + 1.
+    Rows compare as keys do, from the highest column down.  V, the
+    operators on the registers' columns commuting with the current
+    generators, is the nullspace there of the generators' dual rows.  The
+    rows' pivots are their lowest columns, so V's fully reduced basis has
+    one vector per free column f: 1 at f, 0 at the other free columns,
+    nothing above f.  An element of V is led by its highest nonzero free
+    column, and the least element led by f is f's basis vector.  So the
+    least key among the elements of V outside the span, which is the scan's
+    next pick as a rejected candidate stays rejected, is the first basis
+    vector outside the span.  After a pick at f every element of the new V
+    led by a column up to f lies in the new span: the search resumes at
+    f + 1.
     """
     registers = frozenset(discard)
     if not registers:
         raise ValueError("discard set must be nonempty")
     if any(not 0 <= r < s.n for r in registers):
         raise ValueError("discard register out of range")
-    d, n = s.d, s.n
-    sites = list(enumerate(sorted(registers)))
-
-    def constraint(g: PauliVec) -> tuple[int, int]:
-        # <g, u> = x_g . z_u - z_g . x_u: x column 2j holds -z_g at the
-        # j-th site and z column 2j + 1 holds x_g; -z_g swaps the d=3 planes.
-        z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
-        one = two = 0
-        for j, r in sites:
-            one |= (z1 >> r & 1) << 2 * j | (g.x1 >> r & 1) << 2 * j + 1
-            two |= (z2 >> r & 1) << 2 * j | (g.x2 >> r & 1) << 2 * j + 1
-        return one, two
-
-    def spread(plane: int) -> int:
-        """A local plane as a row plane: x at bit r, z at bit n + r."""
-        row = 0
-        for j, r in sites:
-            row |= (plane >> 2 * j & 1) << r | (plane >> 2 * j + 1 & 1) << n + r
-        return row
-
-    constraints = Echelon(d)
-    for g in s.gens:
-        constraints = constraints.insert(*constraint(g)) or constraints
+    columns = sum(3 << 2 * r for r in registers)
+    constraints = _constraints(Echelon(s.d), s.gens, columns)
     span, added, start = s._rows, [], 0
     while True:
-        for one, two in _nullspace(constraints, 2 * len(sites), start):
-            row = spread(one), spread(two)
-            grown = span.insert(*row)
+        for one, two in _nullspace(constraints, columns, start):
+            grown = span.insert(one, two)
             if grown is not None:
                 break
         else:
             return added
-        op = _operator(d, n, *row)
+        op = _from_planes(s.d, s.n, one, two)
         added.append(op)
         span, start = grown, one.bit_length()
-        constraints = constraints.insert(*constraint(op)) or constraints
+        constraints = _constraints(constraints, [op], columns)
 
 
-def _nullspace(rows: Echelon, width: int, start: int = 0) -> Iterator[tuple[int, int]]:
-    """Basis of the vectors of ``width`` columns that the rows annihilate,
-    packed: one vector per free column from ``start`` on, ascending."""
+def _constraints(rows: Echelon, ops: Iterable[PauliVec], columns: int) -> Echelon:
+    """The rows grown by the dual rows of ops cut to the mask ``columns``:
+    an operator supported there commutes with each of ops iff every one of
+    these rows annihilates it."""
+    for op in ops:
+        one, two = _dual(op)
+        rows = rows.insert(one & columns, two & columns) or rows
+    return rows
+
+
+def _nullspace(rows: Echelon, columns: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """Basis of the vectors supported on the mask ``columns`` that the rows,
+    which lie there, annihilate: one vector per free column from ``start``
+    on, ascending."""
     d = rows.d
     # The rows are fully reduced, so back-substitution reads directly: the
     # vector of free column f holds 1 there and -row[f] at each row's pivot.
     pivots = sum(pivot for pivot, _, _ in rows.rows)
-    for free in range(start, width):
-        bit = 1 << free
-        if bit & pivots:
-            continue
+    free = columns & ~pivots & -1 << start
+    while free:
+        bit = free & -free
+        free ^= bit
         one, two = bit, 0
         for pivot, r1, r2 in rows.rows:
             if r2 & bit or r1 & bit and d == 2:  # -row[f] is 1
@@ -247,16 +228,10 @@ def _nullspace(rows: Echelon, width: int, start: int = 0) -> Iterator[tuple[int,
 
 def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
     """Basis of the space of symplectic vectors commuting with every
-    generator (the normalizer, as a Z_d space of dimension 2n - rank),
-    packed: one vector per free column of the constraint rows, ascending."""
-    d, n = s.d, s.n
-    # Row for generator g maps u=(x|z) to <g,u> = x_g . z_u - z_g . x_u.
-    rows = Echelon(d)
-    for g in s.gens:
-        # -z_g is z_g for d=2; for d=3 negation swaps the planes.
-        z1, z2 = (g.z1, 0) if d == 2 else (g.z2, g.z1)
-        rows = rows.insert(z1 | g.x1 << n, z2 | g.x2 << n) or rows
-    return list(_nullspace(rows, 2 * n))
+    generator (the normalizer, as a Z_d space of dimension 2n - rank): one
+    vector per free column of the generators' dual rows, ascending."""
+    every = (1 << 2 * s.n) - 1
+    return list(_nullspace(_constraints(Echelon(s.d), s.gens, every), every))
 
 
 def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
@@ -275,7 +250,7 @@ def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:
     """Vectors extending the stabilizer's row space to a basis of the
     normalizer; combinations with a nonzero part here are exactly the
     normalizer elements outside the group."""
-    return [_operator(s.d, s.n, one, two) for one, two in _complement_rows(s)]
+    return [_from_planes(s.d, s.n, one, two) for one, two in _complement_rows(s)]
 
 
 def min_normalizer_weight(s: StabilizerSet) -> int:
@@ -288,12 +263,14 @@ def min_normalizer_weight(s: StabilizerSet) -> int:
     complement = _complement_rows(s)
     if not complement:
         raise ValueError("normalizer equals the stabilizer; nothing to scan")
-    n, low = s.n, (1 << s.n) - 1
-    return _kernels.min_weight_excluding_span(
-        [(g.x1, g.x2) for g in s.gens],
-        [(g.z1, g.z2) for g in s.gens],
-        [(one & low, two & low) for one, two in complement],
-        [(one >> n, two >> n) for one, two in complement],
-        n,
-        s.d,
-    )
+    xs, zs = _compact(s.d, [(g.one, g.two) for g in s.gens] + complement, s.n)
+    r = s.rank
+    return _kernels.min_weight_excluding_span(xs[:r], zs[:r], xs[r:], zs[r:], s.n, s.d)
+
+
+def _compact(d: int, rows: list[tuple[int, int]], n: int) -> tuple[list, list]:
+    """The x and the z components of each row, as (value 1, value 2) pairs
+    of compact planes."""
+    x1, z1 = split([one for one, _ in rows], n)
+    x2, z2 = split([two for _, two in rows], n) if d == 3 else ([0] * len(rows),) * 2
+    return list(zip(x1, x2)), list(zip(z1, z2))

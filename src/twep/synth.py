@@ -11,9 +11,9 @@ whole protocol spends at most ceil(log2 |E|) + 2 measurements.
 The decision tree is built once, up front, on ``engine``'s outcome-tree
 walk, whose report is then the tree's proof; the strategy looks its steps
 up in that tree, and the step statistics are read from it.
-Each node's scan is ``_kernels.best_splitter``, fed the packed normalizer
-complement rows: it visits candidates in key order and stops at the first
-split no candidate can beat.
+Each node's scan is ``_kernels.best_splitter``, fed the normalizer
+complement rows as compact x and z planes: it visits candidates in key
+order and stops at the first split no candidate can beat.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels
+from ._kernels import interleave, split
 from .bounds import thm2_k
 from .engine import (
     Finish,
@@ -92,17 +93,14 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
     complement = _complement_rows(s)
     if not complement:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
-    low = (1 << s.n) - 1
+    n = s.n
     x, z, _, _ = _kernels.best_splitter(
-        [g.x1 for g in s.gens],
-        [g.z1 for g in s.gens],
-        [one & low for one, _ in complement],
-        [one >> s.n for one, _ in complement],
-        [e.x1 for e in errors.members],
-        [e.z1 for e in errors.members],
-        s.n,
+        *split([g.one for g in s.gens], n),
+        *split([one for one, _ in complement], n),
+        *split([e.one for e in errors.members], n),
+        n,
     )
-    return _from_planes(2, s.n, x, 0, z, 0)
+    return _from_planes(2, n, interleave(x, z), 0)
 
 
 class _Node(NamedTuple):
@@ -178,19 +176,22 @@ def greedy_step_stats(n: int, t: int):
     per-step split balance read from its tree.  Returns (report, stats).
 
     ``max_steps`` is the depth of the deepest Finish node.  A Measure node
-    whose split is unbalanced is listed once per child it has, ordered by
-    the enumeration index of the child's first survivor, then by depth."""
+    whose split is unbalanced is listed once, as "step <depth of its
+    children>", ordered by the enumeration index of its first survivor,
+    then by depth."""
     _, tree, report = _synthesize(n, t)
-    violations = []
+    unbalanced = {}
     for key, node in tree.items():
         if not key:
             continue
-        total, size = len(tree[key[:-1]].reached), len(node.reached)
+        parent = tree[key[:-1]]
+        total, size = len(parent.reached), len(node.reached)
         if not _balanced(max(size, total - size), total):
             c = size if key[-1][1] == 0 else total - size
             line = f"step {len(key)}: split {c}/{total - c} of {total}"
-            violations.append((node.reached[0], len(key), line))
-    violations.sort()
+            # Both children of the node give the same entry.
+            unbalanced[key[:-1]] = (parent.reached[0], len(key), line)
+    violations = sorted(unbalanced.values())
     stats = GreedyStats(
         step_bound=(count_errors(n, t, 2) - 1).bit_length() + 2,
         max_steps=max(

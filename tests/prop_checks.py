@@ -167,13 +167,14 @@ def _insert(rows: _Rows, vec: tuple[int, ...], d: int) -> _Rows | None:
 
 def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, ...]]:
     """Basis of the space of symplectic vectors commuting with every
-    generator (the normalizer, as a Z_d space of dimension 2n - rank)."""
+    generator (the normalizer, as a Z_d space of dimension 2n - rank), in
+    interleaved columns: x[i] at column 2i and z[i] at column 2i + 1."""
     d, n = s.d, s.n
     width = 2 * n
-    # Row for generator g maps u=(x|z) to <g,u> = g.x . u.z - g.z . u.x.
+    # Row for generator g maps u to <g,u> = sum of g.x[i]·u.z[i] - g.z[i]·u.x[i].
     rows: _Rows = ()
     for g in s.gens:
-        row = tuple((-v) % d for v in g.z) + g.x
+        row = tuple(c for a, b in zip(g.z, g.x) for c in ((-a) % d, b))
         updated = _insert(rows, row, d)
         if updated is not None:
             rows = updated
@@ -252,10 +253,11 @@ def normalizer_complement_basis_reference(s: StabilizerSet) -> list[PauliVec]:
     rows = rows_reference(s.gens)
     complement = []
     for vec in _constraint_nullspace(s):
-        updated = _insert(rows, vec, s.d)
+        op = PauliVec(s.d, s.n, vec[::2], vec[1::2])
+        updated = _insert(rows, op.x + op.z, s.d)
         if updated is not None:
             rows = updated
-            complement.append(PauliVec(s.d, s.n, vec[: s.n], vec[s.n :]))
+            complement.append(op)
     return complement
 
 
@@ -321,7 +323,7 @@ def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:
     for vec in rng.sample(basis, min(terms, len(basis))):
         c = rng.randrange(1, s.d)
         v = [(a + c * b) % s.d for a, b in zip(v, vec)]
-    return PauliVec(s.d, s.n, tuple(v[: s.n]), tuple(v[s.n :]))
+    return PauliVec(s.d, s.n, tuple(v[::2]), tuple(v[1::2]))
 
 
 def random_wide_stabilizer(rng: random.Random, d: int, n: int, rank: int) -> StabilizerSet:

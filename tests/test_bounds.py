@@ -167,6 +167,11 @@ class TestNegativeT:
         with pytest.raises(ValueError):
             bound(3, t)
 
+    @pytest.mark.parametrize("bound", [hamming_max_k, singleton_max_k, gv_k, thm2_k])
+    def test_t_above_n_raises(self, bound):
+        with pytest.raises(ValueError):
+            bound(3, 5)
+
     def test_table_skips_negative_t(self):
         assert bounds_table([2, 3], [-2, -1]) == []
         rows = bounds_table([2, 3], [-2, -1, 0])

@@ -17,6 +17,7 @@ from twep.errorspace import (
     BYTES_PER_ERROR,
     MAX_WALK_BYTES,
     ErrorSet,
+    base_errors,
     check_size,
     coset_classes,
     count_errors,
@@ -148,6 +149,17 @@ class TestEnumerationOrder:
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(members) == count_errors(n, t, d)
         assert all(weight(e) <= t for e in members)
+
+    @pytest.mark.parametrize("t", [-2, -1, 4])
+    def test_weight_bound_outside_0_to_n_is_refused(self, t):
+        """A negative bound used to enumerate the identity alone, though
+        ``count_errors`` counts no error for it."""
+        assert count_errors(3, -1) == 0
+        message = rf"^weight bound t={t} lies outside 0\.\.3$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_errors(3, t)
+        with pytest.raises(ValueError):
+            base_errors(2, 3, t)
 
     def test_gate_refuses_before_any_plane_is_built(self, monkeypatch):
         def built(*args):

@@ -8,6 +8,14 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+from click.testing import CliRunner
+
+from twep import cli
+from twep.engine import Report, verify
+from twep.pauli import parse
+from twep.protocols import FIVE_QUBIT_GENERATORS, nine_pair, qutrit_four
+from twep.stabilizer import StabilizerSet, min_normalizer_weight
+
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("tracing", _PATH)
 tracing = importlib.util.module_from_spec(_SPEC)
@@ -23,3 +31,32 @@ def test_every_traced_name_resolves():
         if not hasattr(owner, attr)
     ]
     assert missing == []
+
+
+def test_a_traced_run_reaches_every_kernel():
+    """The tracer's wrappers and counters accept the program's arguments:
+    verify on qubits and qutrits, greedy through the CLI and one distance
+    run under every wrapping point raise nothing, and the kernels and
+    discard completion are reached."""
+    bench = SimpleNamespace(
+        verify=verify,
+        report_text=Report.to_text,
+        min_normalizer_weight=min_normalizer_weight,
+    )
+    code = StabilizerSet(2, 5, [parse(g, 2) for g in FIVE_QUBIT_GENERATORS])
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.layer_points(bench)):
+        for strategy in (nine_pair(), qutrit_four()):
+            report = bench.verify(strategy)
+            assert report.passed and bench.report_text(report)
+        greedy = CliRunner().invoke(cli.main, ["greedy", "--n", "6", "--t", "1"])
+        assert greedy.exception is None or isinstance(greedy.exception, SystemExit)
+        assert greedy.exit_code == 0
+        assert bench.min_normalizer_weight(code) == 3
+    summary = tracer.summary()
+    for name in (
+        "kernels.best_splitter",
+        "kernels.min_weight_excluding_span",
+        "stabilizer.complete_discard",
+    ):
+        assert summary.get(f"{name}.calls", 0) > 0, name

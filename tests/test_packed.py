@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import prop_checks
 from prop_checks import complete_discard_reference, random_stabilizer
 from twep import engine, pauli
+from twep._kernels import interleave, split
 from twep.engine import verify
 from twep.errorspace import enumerate_errors
 from twep.pauli import (
@@ -31,8 +32,6 @@ from twep.pauli import (
 from twep.protocols import _x_over, _z_over, get, hamming_family, names
 from twep.stabilizer import (
     StabilizerSet,
-    _operator,
-    _packed,
     complete_discard,
     normalizer_complement_basis,
 )
@@ -71,16 +70,22 @@ def test_packed_arithmetic_matches_the_tuple_formulas(pair):
         tuple((a + b) % d for a, b in zip(p.z, q.z)),
     )
     for v in pair:
-        planes = (v.x1, v.x2, v.z1, v.z2)
+        # Column 2i holds x[i] and column 2i + 1 holds z[i].
+        columns = tuple(c for site in zip(v.x, v.z) for c in site)
+        planes = (v.one, v.two)
         assert planes == (
-            prop_checks.bits_reference(v.x, 1),
-            prop_checks.bits_reference(v.x, 2),
-            prop_checks.bits_reference(v.z, 1),
-            prop_checks.bits_reference(v.z, 2),
+            prop_checks.bits_reference(columns, 1),
+            prop_checks.bits_reference(columns, 2),
         )
+        for value, plane in zip((1, 2), planes):
+            x = prop_checks.bits_reference(v.x, value)
+            z = prop_checks.bits_reference(v.z, value)
+            assert interleave(x, z) == plane
+            assert split([plane], n) == ([x], [z])
         assert render(v) == prop_checks.render_reference(v)
         assert parse(render(v), v.d) == v
         assert canonical_key(v) == prop_checks.canonical_key_reference(v)
+        assert canonical_key(v) == int(f"{v.one:b}", d) + 2 * int(f"{v.two:b}", d)
         assert weight(v) == prop_checks.weight_reference(v)
 
 
@@ -92,7 +97,7 @@ def _built_every_way(d: int, text: str, sites: dict, left: str, right: str):
         p,
         PauliVec.from_sites(d, p.n, sites),
         PauliVec(d, p.n, tuple(p.x), tuple(p.z)),
-        _operator(d, p.n, *_packed(p)),
+        pauli._from_planes(d, p.n, p.one, p.two),
         multiply(parse(left, d), parse(right, d)),
         next(e for e in enumerate_errors(p.n, weight(p), d) if e == p),
         copy.copy(p),
@@ -135,16 +140,16 @@ def test_every_constructor_builds_one_operator_hashed_once(
         assert type(p.x) is type(p.z) is tuple
     assert len(set(built)) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        first.x1 = 0
+        first.one = 0
 
 
 def assert_consistent_planes(p: PauliVec):
-    """Disjoint value planes, nothing at or above bit n, no value-2 plane
+    """Disjoint value planes, nothing at or above bit 2n, no value-2 plane
     for d=2, and the tuple view builds the same operator back."""
-    outside = -1 << p.n
-    assert p.x1 & p.x2 == 0 and p.z1 & p.z2 == 0
-    assert (p.x1 | p.x2 | p.z1 | p.z2) & outside == 0
-    assert p.d == 3 or p.x2 == p.z2 == 0
+    outside = -1 << 2 * p.n
+    assert p.one & p.two == 0
+    assert (p.one | p.two) & outside == 0
+    assert p.d == 3 or p.two == 0
     assert PauliVec(p.d, p.n, p.x, p.z) == p
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import prop_checks
 from twep import _kernels
+from twep._kernels import split
 from twep.errorspace import base_errors
 from twep.pauli import PauliVec, multiply
 from twep.stabilizer import StabilizerSet, _complement_rows
@@ -25,15 +26,11 @@ from twep.stabilizer import StabilizerSet, _complement_rows
 
 def _arguments(s: StabilizerSet, errors: list[PauliVec]) -> tuple:
     """``best_splitter``'s arguments as ``synth.choose_generator`` builds them."""
-    n, low = s.n, (1 << s.n) - 1
-    complement = _complement_rows(s)
+    n = s.n
     return (
-        [g.x1 for g in s.gens],
-        [g.z1 for g in s.gens],
-        [one & low for one, _ in complement],
-        [one >> n for one, _ in complement],
-        [e.x1 for e in errors],
-        [e.z1 for e in errors],
+        *split([g.one for g in s.gens], n),
+        *split([one for one, _ in _complement_rows(s)], n),
+        *split([e.one for e in errors], n),
         n,
     )
 

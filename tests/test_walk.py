@@ -372,6 +372,15 @@ def test_greedy_fault_is_raised_from_the_step_statistics():
         greedy_step_stats(0, 0)
 
 
+@pytest.mark.parametrize("t", [-1, 4])
+def test_a_weight_bound_outside_0_to_n_is_refused(t):
+    """A negative t used to pass, with one error checked and k_min = n."""
+    with pytest.raises(ValueError, match="lies outside 0..3"):
+        verify(Strategy(2, 3, t, 3, lambda h: Finish()))
+    with pytest.raises(ValueError, match="0 <= t <= n"):
+        greedy_step_stats(3, t)
+
+
 def random_adaptive(d: int, n: int, t: int, k_claimed: int, seed: int) -> Strategy:
     """A deterministic strategy that hashes each history to pick its step:
     Finish, a discard of one to three registers, a random operator (often
