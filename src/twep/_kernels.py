@@ -15,9 +15,12 @@ best-splitter scan assumes d=2.
 The splitter scan is transposed: each complement basis vector becomes one
 bit-row over the error list (bit e set iff the vector anticommutes with
 error e), so a candidate's anticommuting count is the popcount of the XOR
-of its rows.  Its tie-break key is linear too: for d=2 the canonical key is
-the row plane, and the smallest key in a coset of the span is a linear
-projection of any key in it.  Those projected keys are put in
+of its rows.  The rows are built transposed too: the errors' x and z
+planes become n column bit-rows each (``_columns``), and a vector's row is
+the XOR of the z columns at its x sites and the x columns at its z sites.
+Its tie-break key is linear too: for d=2 the canonical key is the row
+plane, and the smallest key in a coset of the span is a linear projection
+of any key in it.  Those projected keys are put in
 fully reduced GF(2) echelon form, each carrying its row, and sorted by
 pivot: the key of a combination then rises with its mask, since for masks
 a != b the top bit of key(a) ^ key(b) is the highest pivot in a ^ b.  The
@@ -100,9 +103,12 @@ class Echelon:
 
 
 def _columns(planes: list[int], n: int) -> list[int]:
-    """Transpose: entry i has bit j set iff bit i of planes[j] is set."""
-    bits = [f"{plane:0{n}b}"[::-1] for plane in planes]
-    return [int("".join(column)[::-1], 2) for column in zip(*bits)]
+    """Transpose: entry i has bit j set iff bit i of planes[j] is set.  The
+    planes' n-bit numerals, joined last plane first, hold bit i of each
+    plane at every n-th digit from digit n - 1 - i, so one slice each reads
+    the columns as binary numerals."""
+    numerals = "".join(map(format, reversed(planes), repeat(f"0{n}b")))
+    return [int(numerals[k::n] or "0", 2) for k in range(n - 1, -1, -1)]
 
 
 def min_weight_excluding_span(
@@ -222,12 +228,22 @@ def _combinations(rows: list[int]) -> list[int]:
     return table
 
 
-def _anticommuting(x: int, z: int, err_x: list[int], err_z: list[int]) -> int:
-    """Bit-row of an operator: bit e set iff it anticommutes with error e."""
-    row = 0
-    for ex, ez in zip(reversed(err_x), reversed(err_z)):
-        row = row << 1 | ((x & ez) ^ (z & ex)).bit_count() & 1
-    return row
+def _xor_at(bits: int, rows: list[int]) -> int:
+    """XOR of rows[i] over the set bits i of ``bits``."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def _anticommuting_row(x: int, z: int, x_cols: list[int], z_cols: list[int]) -> int:
+    """Bit-row of an operator: bit e set iff it anticommutes with error e,
+    given the errors' x and z planes transposed (``_columns``).  Error e
+    anticommutes iff its z bits on x's sites and its x bits on z's sites
+    have odd total, so the row is the XOR of those error columns."""
+    return _xor_at(x, z_cols) ^ _xor_at(z, x_cols)
 
 
 def best_splitter(
@@ -248,6 +264,10 @@ def best_splitter(
     the split is computed once per complement combination, and the winner
     of a combination's coset is its coset-minimal key.
 
+    Rows: the error planes are transposed once per call, and each
+    complement vector's anticommutation row, like the winner's, is an XOR
+    of error columns (``_anticommuting_row``), with no pass over the errors.
+
     Key order: in the basis ``_key_order`` returns, a combination's key
     rises with its mask, so masks are scanned upward and the first one
     reaching the smallest larger side yet seen is the winner; only its key
@@ -259,11 +279,12 @@ def best_splitter(
     ne = len(err_x)
     if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
+    x_cols, z_cols = _columns(err_x, n), _columns(err_z, n)
     span_keys = list(map(interleave, span_x, span_z))
     span = [k for k, _ in _key_order(span_keys, [0] * len(span_keys))]
     basis = _key_order(
         [_coset_min(interleave(x, z), span) for x, z in zip(comp_x, comp_z)],
-        [_anticommuting(x, z, err_x, err_z) for x, z in zip(comp_x, comp_z)],
+        [_anticommuting_row(x, z, x_cols, z_cols) for x, z in zip(comp_x, comp_z)],
     )
     rows = [r for _, r in basis]
     larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
@@ -288,5 +309,5 @@ def best_splitter(
         if winner >> j & 1:
             key ^= k
     (best_x,), (best_z,) = split([key], n)
-    anti = _anticommuting(best_x, best_z, err_x, err_z).bit_count()
+    anti = _anticommuting_row(best_x, best_z, x_cols, z_cols).bit_count()
     return best_x, best_z, ne - anti, anti

@@ -30,8 +30,11 @@ def _fail(message: str, code: int):
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _fail(f"cannot write --output {output!r}: {exc.strerror}", 2)
     else:
         click.echo(text, nl=False)
 

@@ -235,10 +235,24 @@ def _constraint_nullspace(s: StabilizerSet) -> list[tuple[int, int]]:
 
 
 def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
-    """``normalizer_complement_basis``, as packed rows."""
-    rows = s._rows
+    """``normalizer_complement_basis``, as packed rows: each normalizer
+    basis vector, in ascending order, that is independent of the span of
+    the generators and the vectors kept before it.
+
+    The normalizer has dimension 2n - r for a stabilizer of rank r and
+    contains the stabilizer, so exactly r of its basis vectors are
+    rejected and 2(n - r) kept.  Once r are rejected, the kept ones and
+    the rest already number 2(n - r), so every remaining vector is kept
+    without an insert; once 2(n - r) are kept, the rest would all be
+    rejected, so the loop stops."""
+    rows, r = s._rows, s.rank
+    basis = _constraint_nullspace(s)
     complement = []
-    for one, two in _constraint_nullspace(s):
+    for i, (one, two) in enumerate(basis):
+        if i - len(complement) == r:  # every rejection is done
+            return complement + basis[i:]
+        if len(complement) == 2 * (s.n - r):
+            break
         updated = rows.insert(one, two)
         if updated is not None:
             rows = updated

@@ -11,9 +11,12 @@ whole protocol spends at most ceil(log2 |E|) + 2 measurements.
 The decision tree is built once, up front, on ``engine``'s outcome-tree
 walk, whose report is then the tree's proof; the strategy looks its steps
 up in that tree, and the step statistics are read from it.
-Each node's scan is ``_kernels.best_splitter``, fed the normalizer
-complement rows as compact x and z planes: it visits candidates in key
-order and stops at the first split no candidate can beat.
+Each node's scan is ``_kernels.best_splitter``, fed compact x and z
+planes: it visits candidates in key order and stops at the first split no
+candidate can beat.  A synthesis converts the enumeration's rows to planes
+once, and a node takes its survivors' planes by index; the span and
+normalizer complement planes are built once per stabilizer, which sibling
+nodes share.  So a node pays only for its own survivors.
 """
 
 from __future__ import annotations
@@ -84,23 +87,47 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
         raise ValueError("generator search is defined for d=2 only")
     if s.n > SCAN_MAX_N:
         raise SizeLimitError(f"generator scan needs n <= {SCAN_MAX_N}, got {s.n}")
-    residues = map(s.residue, errors.members)
+    for e in errors.members:
+        s._check(e)
+    rows = [e.one for e in errors.members]
+    return _best_splitter(s, rows, *split(rows, s.n), {})
+
+
+def _best_splitter(
+    s: StabilizerSet,
+    rows: list[int],
+    err_x: list[int],
+    err_z: list[int],
+    planes: dict[tuple, tuple],
+) -> PauliVec:
+    """``choose_generator``'s operator for qubit errors given as rows and as
+    their compact planes.  ``planes`` memoizes ``_scan_planes`` by generator
+    tuple and gains an entry for ``s`` if it has none."""
+    residues = map(s._rows.reduce, rows)
     first = next(residues, None)
-    if len(errors.members) < 2 or all(r == first for r in residues):
+    if len(rows) < 2 or all(r == first for r in residues):
         raise NoSeparatorError(
             "remaining errors are coset-equivalent; no separator exists or is needed"
         )
+    if s.gens not in planes:
+        planes[s.gens] = _scan_planes(s)
+    scan = planes[s.gens]
+    if not scan:
+        raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
+    x, z, _, _ = _kernels.best_splitter(*scan, err_x, err_z, s.n)
+    return _from_planes(2, s.n, interleave(x, z), 0)
+
+
+def _scan_planes(s: StabilizerSet) -> tuple:
+    """The span and normalizer complement planes ``best_splitter`` takes
+    for s, as compact x and z lists; empty if the complement is."""
     complement = _complement_rows(s)
     if not complement:
-        raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
-    n = s.n
-    x, z, _, _ = _kernels.best_splitter(
-        *split([g.one for g in s.gens], n),
-        *split([one for one, _ in complement], n),
-        *split([e.one for e in errors.members], n),
-        n,
+        return ()
+    return (
+        *split([g.one for g in s.gens], s.n),
+        *split([one for one, _ in complement], s.n),
     )
-    return _from_planes(2, n, interleave(x, z), 0)
 
 
 class _Node(NamedTuple):
@@ -126,13 +153,15 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict[tuple, _Node], Report]:
         )
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
-    members = base_errors(2, n, t).members
+    rows = [e.one for e in base_errors(2, n, t).members]
+    err_x, err_z = split(rows, n)
+    planes: dict[tuple, tuple] = {}
     tree: dict[tuple, _Node] = {}
 
     def choose(history: History, s: StabilizerSet, reached: tuple[int, ...]) -> Step:
-        survivors = ErrorSet(2, n, tuple(members[i] for i in reached))
+        survivors = ([v[i] for i in reached] for v in (rows, err_x, err_z))
         try:
-            step = Measure(choose_generator(s, survivors))
+            step = Measure(_best_splitter(s, *survivors, planes))
         except NoSeparatorError:
             step = Finish()
         tree[history.entries] = _Node(step, reached)

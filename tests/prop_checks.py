@@ -314,6 +314,23 @@ def best_splitter_reference(
     return bits_reference(op.x), bits_reference(op.z), len(errors) - anti, anti
 
 
+def anticommuting_reference(x: int, z: int, err_x: list[int], err_z: list[int]) -> int:
+    """Bit-row of a qubit operator with compact planes x and z: bit e set
+    iff it anticommutes with error e, one error at a time."""
+    row = 0
+    for ex, ez in zip(reversed(err_x), reversed(err_z)):
+        row = row << 1 | ((x & ez) ^ (z & ex)).bit_count() & 1
+    return row
+
+
+def columns_reference(planes: list[int], n: int) -> list[int]:
+    """Transpose of the planes, one bit at a time: entry i has bit j set
+    iff bit i of planes[j] is set."""
+    return [
+        sum((plane >> i & 1) << j for j, plane in enumerate(planes)) for i in range(n)
+    ]
+
+
 def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:
     """A combination of ``terms`` random vectors of the tuple normalizer
     basis of s (anything with d, n and gens), with random coefficients: an

@@ -213,6 +213,35 @@ class TestMiCommand:
         assert result.exit_code == 2
 
 
+class TestOutputPath:
+    """An --output path that cannot be written is a usage error: exit 2 and
+    one line on stderr, whichever command writes it."""
+
+    COMMANDS = (
+        ["bounds", "--n", "3", "--t", "1"],
+        ["rates", "--points", "3"],
+        ["mi", "--count", "3"],
+    )
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_missing_directory_exits_two(self, runner, tmp_path, args):
+        target = tmp_path / "missing" / "out.json"
+        result = runner.invoke(main, [*args, "--output", str(target)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert str(target) in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_directory_path_exits_two(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--output", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
+
+
 class TestGoldenStdout:
     """stdout and exit codes as the per-error verifier printed them; the
     outcome-tree walk must reproduce them byte for byte, the greedy

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import prop_checks
 from prop_checks import inverse, random_wide_stabilizer
 from twep.errorspace import ErrorSet, coset_classes
-from twep.pauli import PauliVec, multiply
+from twep.pauli import PauliVec, multiply, parse
 from twep.stabilizer import (
     StabilizerSet,
     min_normalizer_weight,
@@ -113,6 +113,49 @@ def test_normalizer_complement_basis_matches_the_tuple_oracle(case):
     basis = normalizer_complement_basis(s)
     assert basis == prop_checks.normalizer_complement_basis_reference(s)
     assert len(basis) == 2 * (s.n - s.rank)
+
+
+# Textbook codes: [[4,2,2]], [[5,1,3]], Steane [[7,1,3]], Shor [[9,1,3]]
+# and the qutrit [[5,1,3]]_3.
+ANCHORS = (
+    (2, ("XXXX", "ZZZZ")),
+    (2, ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")),
+    (2, ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")),
+    (
+        2,
+        ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
+         "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"),
+    ),
+    (3, ("X,Z,Z2,X2,I", "I,X,Z,Z2,X2", "X2,I,X,Z,Z2", "Z2,X2,I,X,Z")),
+)
+
+
+def _anchor(d: int, gens: tuple[str, ...]) -> StabilizerSet:
+    ops = [parse(g, d) for g in gens]
+    return StabilizerSet(d, ops[0].n, ops)
+
+
+@pytest.mark.parametrize("d, gens", ANCHORS)
+def test_textbook_codes_match_the_tuple_oracles(d, gens):
+    s = _anchor(d, gens)
+    basis = normalizer_complement_basis(s)
+    assert basis == prop_checks.normalizer_complement_basis_reference(s)
+    assert len(basis) == 2 * (s.n - s.rank)
+    assert min_normalizer_weight(s) == prop_checks.min_normalizer_weight_reference(s)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_rank_zero_and_full_rank_complements_match_the_tuple_oracle(d, n):
+    """Rank 0 keeps every normalizer basis vector, full rank none."""
+    empty = StabilizerSet(d, n)
+    basis = normalizer_complement_basis(empty)
+    assert basis == prop_checks.normalizer_complement_basis_reference(empty)
+    assert len(basis) == 2 * n
+    full = random_wide_stabilizer(random.Random(n), d, n, n)
+    assert full.rank == n
+    assert normalizer_complement_basis(full) == []
+    assert prop_checks.normalizer_complement_basis_reference(full) == []
 
 
 @st.composite

@@ -6,7 +6,10 @@ Instances cover every stabilizer rank on up to 7 registers, random error
 lists and survivors sharing a syndrome, and the nodes where the stop rule
 matters: rows of even parity only (weight-<=1 errors on an empty
 stabilizer, as at the greedy root), one error, one complement vector, and
-survivors in a single coset, where no candidate reaches the bound."""
+survivors in a single coset, where no candidate reaches the bound.  The
+scan's anticommutation rows, read from transposed error planes, are
+checked against their per-error definition, and the transpose against a
+per-bit one."""
 
 from __future__ import annotations
 
@@ -85,13 +88,44 @@ def test_scan_equals_the_full_scan(n, data, kind, count, seed):
     _assert_same(s, _errors(rng, s, kind, count))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_transposed_rows_equal_the_per_error_rows(n, data):
+    """The splitter's rows, read from the errors' transposed planes, against
+    the per-error definition: qubits, 1 to 64 errors, a few operators."""
+    plane = st.integers(0, (1 << n) - 1)
+    count = data.draw(st.integers(1, 64))
+    err_x = data.draw(st.lists(plane, min_size=count, max_size=count))
+    err_z = data.draw(st.lists(plane, min_size=count, max_size=count))
+    x_cols, z_cols = _kernels._columns(err_x, n), _kernels._columns(err_z, n)
+    for x, z in data.draw(st.lists(st.tuples(plane, plane), min_size=1, max_size=4)):
+        row = _kernels._anticommuting_row(x, z, x_cols, z_cols)
+        assert row == prop_checks.anticommuting_reference(x, z, err_x, err_z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_columns_equal_the_per_bit_transpose(n, data):
+    planes = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=70))
+    assert _kernels._columns(planes, n) == prop_checks.columns_reference(planes, n)
+
+
+def test_columns_of_no_planes_and_of_one_register():
+    for n in (1, 2, 5):
+        assert _kernels._columns([], n) == [0] * n
+    assert _kernels._columns([1, 0, 1, 1], 1) == [0b1101]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_all_light_errors_on_an_empty_stabilizer(n):
     """Every complement row then has even popcount (the greedy root)."""
     s = StabilizerSet(2, n)
     errors = list(base_errors(2, n, 1).members)
     args = _arguments(s, errors)
-    rows = [_kernels._anticommuting(x, z, *args[4:6]) for x, z in zip(*args[2:4])]
+    rows = [
+        prop_checks.anticommuting_reference(x, z, *args[4:6])
+        for x, z in zip(*args[2:4])
+    ]
     assert all(row.bit_count() % 2 == 0 for row in rows)
     _assert_same(s, errors)
     _assert_same(s, errors[1:])
@@ -133,7 +167,10 @@ def test_odd_rows_keep_the_plain_bound():
         kind = rng.choice(["random", "syndrome"])
         errors = _errors(rng, s, kind, rng.choice([6, 10]))
         args = _arguments(s, errors)
-        rows = [_kernels._anticommuting(x, z, *args[4:6]) for x, z in zip(*args[2:4])]
+        rows = [
+            prop_checks.anticommuting_reference(x, z, *args[4:6])
+            for x, z in zip(*args[2:4])
+        ]
         if all(row.bit_count() % 2 for row in rows):
             found += 1
             _assert_same(s, errors)

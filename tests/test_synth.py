@@ -10,7 +10,7 @@ import pytest
 from prop_checks import average_separated_pairs, random_stabilizer
 
 from twep.bounds import mi_sequence
-from twep.engine import simulate
+from twep.engine import Finish, Measure, simulate
 from twep.errorspace import (
     ErrorSet,
     base_errors,
@@ -33,6 +33,7 @@ from twep.synth import (
     greedy_step_stats,
     greedy_strategy,
     split_counts,
+    _synthesize,
 )
 
 
@@ -180,6 +181,27 @@ class TestGreedyStrategy:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             greedy_strategy(30, 1)
+
+    @pytest.mark.parametrize("n, t", [(6, 1), (7, 1), (7, 2)])
+    def test_each_node_takes_the_public_choice(self, n, t):
+        """Synthesis converts the enumeration once and memoizes each
+        stabilizer's planes; every node, rebuilt from its history and its
+        survivors, still gets ``choose_generator``'s operator, and exactly
+        the Finish nodes have no separator."""
+        _, tree, _ = _synthesize(n, t)
+        members = base_errors(2, n, t).members
+        kinds = set()
+        for key, node in tree.items():
+            s = StabilizerSet(2, n, [op for op, _ in key])
+            survivors = ErrorSet(2, n, tuple(members[i] for i in node.reached))
+            kinds.add(type(node.step))
+            if isinstance(node.step, Measure):
+                assert choose_generator(s, survivors) == node.step.op, key
+            else:
+                assert isinstance(node.step, Finish)
+                with pytest.raises(NoSeparatorError):
+                    choose_generator(s, survivors)
+        assert kinds == {Measure, Finish}
 
     def test_monotone_survivor_sets(self):
         strategy = greedy_strategy(6, 1)
