@@ -7,17 +7,23 @@ of ``one`` (``two``) set iff column c holds 1 (2); for d=2 ``two`` is 0.
 An operator's planes are its row, x[i] at column 2i and z[i] at 2i + 1.
 One reducer, ``Echelon``, serves both dimensions: for d=2 eliminating a
 column is one XOR, for d=3 one two-plane add.  The minimum-weight search
-reduces its syndrome rows with it.  The two scans take operators compact,
-as an x plane and a z plane with register i at bit i; ``interleave`` and
-``split`` convert between that and a row plane, at C level.  The
-best-splitter scan assumes d=2.
+reduces its syndrome rows with it.
+
+Both scans transpose what they are given as rows once (``_columns`` over
+the 2n columns), so that a site's column pair is read as two bit-rows
+over the operators.  The minimum-weight search takes every basis operator
+as a row, split by value plane.  The best-splitter scan, which assumes
+d=2, takes its errors as rows, but the span and complement basis of the
+stabilizer compact, as an x plane and a z plane with register i at bit i:
+the benchmark's tracer counts its candidates from those lists' lengths by
+position.  ``interleave`` and ``split`` convert between compact planes and
+a row plane, at C level.
 
 The splitter scan is transposed: each complement basis vector becomes one
 bit-row over the error list (bit e set iff the vector anticommutes with
 error e), so a candidate's anticommuting count is the popcount of the XOR
-of its rows.  The rows are built transposed too: the errors' x and z
-planes become n column bit-rows each (``_columns``), and a vector's row is
-the XOR of the z columns at its x sites and the x columns at its z sites.
+of its rows.  A vector's row is the XOR of the error columns at its own
+row's set bits, with each site's x and z column swapped.
 Its tie-break key is linear too: for d=2 the canonical key is the row
 plane, and the smallest key in a coset of the span is a linear projection
 of any key in it.  Those projected keys are put in
@@ -112,20 +118,21 @@ def _columns(planes: list[int], n: int) -> list[int]:
 
 
 def min_weight_excluding_span(
-    span_x: list[tuple[int, int]],
-    span_z: list[tuple[int, int]],
-    comp_x: list[tuple[int, int]],
-    comp_z: list[tuple[int, int]],
+    span_one: list[int],
+    span_two: list[int],
+    comp_one: list[int],
+    comp_two: list[int],
     n: int,
     d: int,
 ) -> int:
     """Minimum weight over {c + s} with c a nonzero combination of the
     complement basis and s any combination of the span basis, over Z_d.
 
-    Each basis operator enters as its x and z components, each a pair of
-    bit-planes (value 1, value 2), register i at bit i.  The span must be a
-    stabilizer's generators and span plus complement a basis of its
-    normalizer; the scan then covers exactly the normalizer minus the
+    Each basis operator enters as its row, split by value plane: entry j
+    of ``*_one`` (``*_two``) is operator j's plane of value 1 (2) over the
+    2n interleaved columns; for d=2 the value-2 planes are ignored.  The
+    span must be a stabilizer's generators and span plus complement a basis
+    of its normalizer; the scan then covers exactly the normalizer minus the
     stabilizer.  Those are the operators with zero syndrome against the
     span and nonzero syndrome against the complement, since the stabilizer
     is the normalizer's symplectic complement.  Syndromes are linear in an
@@ -135,19 +142,16 @@ def min_weight_excluding_span(
     of size, depth first, so each support extends its prefix's echelon
     form by its last site's two rows.
     """
-    if not comp_x:
+    if not comp_one:
         raise ValueError("complement basis is empty: nothing outside the span")
-    xs, zs = span_x + comp_x, span_z + comp_z
-    x1, z1 = _columns([x for x, _ in xs], n), _columns([z for z, _ in zs], n)
-    if d == 2:  # no value-2 planes
-        x2 = z2 = [0] * n
-    else:
-        x2, z2 = _columns([x for _, x in xs], n), _columns([z for _, z in zs], n)
-    # Syndrome rows of X and Z on each site, column j for basis operator j:
-    # <X_i, b> = z_b[i] and <Z_i, b> = -x_b[i], taken as x_b[i], since
-    # scaling a row leaves the row space as it is.
-    site_rows = list(zip(z1, z2, x1, x2))
-    span = (1 << len(span_x)) - 1
+    # Column c of the basis rows, bit j for basis operator j, per plane.
+    ones = _columns(span_one + comp_one, 2 * n)
+    twos = _columns(span_two + comp_two, 2 * n) if d == 3 else [0] * (2 * n)
+    # Syndrome rows of X and Z on site i: <X_i, b> = z_b[i], column 2i + 1,
+    # and <Z_i, b> = -x_b[i], column 2i, taken as x_b[i], since scaling a
+    # row leaves the row space as it is.
+    site_rows = list(zip(ones[1::2], twos[1::2], ones[::2], twos[::2]))
+    span = (1 << len(span_one)) - 1
 
     def found(start: int, left: int, rows: Echelon) -> bool:
         """Some support of ``left`` more sites from ``start`` on completes
@@ -238,12 +242,16 @@ def _xor_at(bits: int, rows: list[int]) -> int:
     return acc
 
 
-def _anticommuting_row(x: int, z: int, x_cols: list[int], z_cols: list[int]) -> int:
-    """Bit-row of an operator: bit e set iff it anticommutes with error e,
-    given the errors' x and z planes transposed (``_columns``).  Error e
-    anticommutes iff its z bits on x's sites and its x bits on z's sites
-    have odd total, so the row is the XOR of those error columns."""
-    return _xor_at(x, z_cols) ^ _xor_at(z, x_cols)
+def _dual_columns(rows: list[int], n: int) -> list[int]:
+    """The qubit rows transposed over their 2n columns (``_columns``), each
+    site's x and z column swapped.  An operator anticommutes with row e iff
+    e's z bits on its x sites and e's x bits on its z sites have odd total,
+    so its anticommutation row (bit e set iff it anticommutes with row e)
+    is the XOR of these columns at its own row's set bits (``_xor_at``)."""
+    columns = _columns(rows, 2 * n)
+    dual = [0] * (2 * n)
+    dual[::2], dual[1::2] = columns[1::2], columns[::2]
+    return dual
 
 
 def best_splitter(
@@ -251,22 +259,23 @@ def best_splitter(
     span_z: list[int],
     comp_x: list[int],
     comp_z: list[int],
-    err_x: list[int],
-    err_z: list[int],
+    errors: list[int],
     n: int,
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int]:
     """Scan the normalizer-minus-span for the operator that splits the error
     list most evenly.
 
-    Returns (x, z, commuting, anticommuting) for the winner.  Candidates are
-    ranked by smallest max(|C|, |A|); ties go to the smallest canonical key.
-    Adding a span element to a candidate never changes its split sizes, so
-    the split is computed once per complement combination, and the winner
-    of a combination's coset is its coset-minimal key.
+    The errors are qubit rows; the span and complement basis operators
+    enter compact, as x and z planes.  Returns (row, commuting,
+    anticommuting) for the winner.  Candidates are ranked by smallest
+    max(|C|, |A|); ties go to the smallest canonical key.  Adding a span
+    element to a candidate never changes its split sizes, so the split is
+    computed once per complement combination, and the winner of a
+    combination's coset is its coset-minimal key.
 
-    Rows: the error planes are transposed once per call, and each
-    complement vector's anticommutation row, like the winner's, is an XOR
-    of error columns (``_anticommuting_row``), with no pass over the errors.
+    Rows: the errors are transposed once per call (``_dual_columns``), and
+    each complement vector's anticommutation row, like the winner's, is an
+    XOR of those columns, with no pass over the errors.
 
     Key order: in the basis ``_key_order`` returns, a combination's key
     rises with its mask, so masks are scanned upward and the first one
@@ -276,15 +285,16 @@ def best_splitter(
     linear in the mask, so when every row has even popcount only even
     counts are reachable; otherwise the bound is ceil(ne / 2).
     """
-    ne = len(err_x)
+    ne = len(errors)
     if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
-    x_cols, z_cols = _columns(err_x, n), _columns(err_z, n)
+    dual = _dual_columns(errors, n)
     span_keys = list(map(interleave, span_x, span_z))
     span = [k for k, _ in _key_order(span_keys, [0] * len(span_keys))]
+    comp_keys = list(map(interleave, comp_x, comp_z))
     basis = _key_order(
-        [_coset_min(interleave(x, z), span) for x, z in zip(comp_x, comp_z)],
-        [_anticommuting_row(x, z, x_cols, z_cols) for x, z in zip(comp_x, comp_z)],
+        [_coset_min(k, span) for k in comp_keys],
+        [_xor_at(k, dual) for k in comp_keys],
     )
     rows = [r for _, r in basis]
     larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
@@ -308,6 +318,5 @@ def best_splitter(
     for j, (k, _) in enumerate(basis):
         if winner >> j & 1:
             key ^= k
-    (best_x,), (best_z,) = split([key], n)
-    anti = _anticommuting_row(best_x, best_z, x_cols, z_cols).bit_count()
-    return best_x, best_z, ne - anti, anti
+    anti = _xor_at(key, dual).bit_count()
+    return key, ne - anti, anti

@@ -17,6 +17,7 @@ import click
 
 from . import bounds as bounds_mod
 from . import protocols, synth
+from .engine import Strategy
 from .engine import verify as engine_verify
 from .engine import simulate as engine_simulate
 from .errorspace import check_size
@@ -39,7 +40,7 @@ def _emit(text: str, output: str | None):
         click.echo(text, nl=False)
 
 
-def _get_protocol(name: str, m: int | None = None):
+def _get_protocol(name: str, m: int | None = None) -> Strategy:
     if name == "hamming":
         if m is None:
             _fail("protocol 'hamming' needs --m", 2)
@@ -50,11 +51,7 @@ def _get_protocol(name: str, m: int | None = None):
             check_size(2**m - 1, 1, 2)
         except SizeLimitError as exc:
             _fail(str(exc), 2)
-        return protocols.NamedProtocol(
-            name=f"hamming-m{m}",
-            strategy=protocols.hamming_family(m),
-            provenance=f"Hamming-check bisection family, m={m}",
-        )
+        return protocols.hamming_family(m)
     if m is not None:
         _fail("--m only applies to protocol 'hamming'", 2)
     try:
@@ -90,9 +87,9 @@ def main():
 @click.option("--m", "m", type=int, default=None, help="family size for 'hamming'")
 def verify(protocol: str, m: int | None):
     """Exhaustively verify a registered protocol."""
-    named = _get_protocol(protocol, m)
+    strategy = _get_protocol(protocol, m)
     try:
-        report = engine_verify(named.strategy)
+        report = engine_verify(strategy)
     except SizeLimitError as exc:
         _fail(str(exc), 2)
     click.echo(report.to_text(), nl=False)
@@ -106,8 +103,7 @@ def verify(protocol: str, m: int | None):
 @click.option("--two-party", is_flag=True, help="render per-party outcome columns")
 def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
     """Run one protocol execution against a chosen hidden error."""
-    named = _get_protocol(protocol, m)
-    strategy = named.strategy
+    strategy = _get_protocol(protocol, m)
     try:
         hidden = parse(error_text, strategy.d)
     except PauliSyntaxError as exc:

@@ -18,13 +18,15 @@ from .pauli import symplectic_product
 from .stabilizer import SizeLimitError, StabilizerSet
 
 # A verification walk holds about BYTES_PER_ERROR per error (its operator,
-# its index in the lists and a possible counterexample) plus ceil(n/8) bytes
-# per n columns of bit-plane it carries: 2 for d=2 (one plane of 2n
-# columns) and 4 for d=3 (two).  Fitted to peak RSS above an interpreter
-# that has imported twep (Python 3.11, 2 vCPUs):
-# hamming m = 10 holds 2.3 MB (estimate 3.0 MB), m = 13 51 MB (66 MB), and
-# discarding 9 of 12 registers at t = 6 holds 345 MB (672 MB).  The limit
-# admits hamming m = 13 and refuses m = 14 (228 MB).
+# its index in the nodes' survivor tuples and a possible counterexample)
+# plus what grows with the width of a row over 2n columns: the error's own
+# planes and the echelon rows of the stabilizers held by frontier nodes and
+# the discard memo.  That comes to 3 bytes per 8 registers for d=2 (one
+# plane) and 6 for d=3 (two).  Fitted to peak RSS (VmHWM) above an
+# interpreter that has imported twep (Python 3.11, 2 vCPUs): hamming
+# m = 10, 11, 12, 13 hold 2.6, 6.9, 23.0, 79.2 MB (estimates 3.5, 9.4,
+# 28.3, 94.4 MB), and discarding 9 of 12 registers at t = 4 holds 15.7 MB
+# (36.1 MB).  The limit admits hamming m = 13 and refuses m = 14 (340 MB).
 BYTES_PER_ERROR = 768
 MAX_WALK_BYTES = 1 << 27
 
@@ -57,8 +59,8 @@ def check_size(n: int, t: int, d: int = 2) -> int:
     before anything is built if the estimate exceeds MAX_WALK_BYTES: this
     is the one size gate on an enumeration."""
     total = count_errors(n, t, d)
-    planes = 2 if d == 2 else 4
-    estimate = total * (BYTES_PER_ERROR + planes * -(-n // 8))
+    row_bytes = (3 if d == 2 else 6) * -(-n // 8)
+    estimate = total * (BYTES_PER_ERROR + row_bytes)
     if estimate > MAX_WALK_BYTES:
         raise SizeLimitError(
             f"enumeration of {total} errors on {n} registers needs about"

@@ -8,7 +8,6 @@ corrects with a surviving candidate error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .engine import Discard, Finish, History, Measure, Step, Strategy
@@ -16,13 +15,6 @@ from .pauli import PauliVec, _from_planes, parse
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 FOUR_QUBIT_GENERATORS = ("XXXX", "ZZZZ")
-
-
-@dataclass(frozen=True)
-class NamedProtocol:
-    name: str
-    strategy: Strategy
-    provenance: str
 
 
 def _x_over(n: int, sites) -> PauliVec:
@@ -162,13 +154,13 @@ def qutrit_four() -> Strategy:
     return Strategy(d=3, n=n, t=1, k_claimed=1, next=next_step, name="qutrit-four")
 
 
-_FACTORIES: dict[str, tuple[Callable[[], Strategy], str]] = {
-    "six-pair": (six_pair, "four-pair detection code, keep two"),
-    "hamming-m3": (lambda: hamming_family(3), "Hamming-check bisection family, m=3"),
-    "hamming-m4": (lambda: hamming_family(4), "Hamming-check bisection family, m=4"),
-    "hamming-m5": (lambda: hamming_family(5), "Hamming-check bisection family, m=5"),
-    "nine-pair": (nine_pair, "five-pair code plus four-pair detection"),
-    "qutrit-four": (qutrit_four, "three-qutrit detection code"),
+_FACTORIES: dict[str, Callable[[], Strategy]] = {
+    "six-pair": six_pair,
+    "hamming-m3": lambda: hamming_family(3),
+    "hamming-m4": lambda: hamming_family(4),
+    "hamming-m5": lambda: hamming_family(5),
+    "nine-pair": nine_pair,
+    "qutrit-four": qutrit_four,
 }
 
 
@@ -176,9 +168,8 @@ def names() -> list[str]:
     return list(_FACTORIES)
 
 
-def get(name: str) -> NamedProtocol:
+def get(name: str) -> Strategy:
     """Look up a protocol by registry name."""
     if name not in _FACTORIES:
         raise KeyError(name)
-    factory, provenance = _FACTORIES[name]
-    return NamedProtocol(name=name, strategy=factory(), provenance=provenance)
+    return _FACTORIES[name]()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
-from ._kernels import Echelon, split
+from ._kernels import Echelon
 # multiply is unused here; perfbench's tracer wraps ``stabilizer.multiply``.
 from .pauli import (
     DimensionMismatchError,
@@ -269,7 +269,8 @@ def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:
 
 def min_normalizer_weight(s: StabilizerSet) -> int:
     """Minimum weight over normalizer elements outside the group; the code
-    corrects floor((result - 1) / 2) errors."""
+    corrects floor((result - 1) / 2) errors.  The generators and the
+    normalizer complement reach the scan as rows, split by value plane."""
     if s.n > ENUMERATION_MAX_N:
         raise SizeLimitError(
             f"normalizer scan needs n <= {ENUMERATION_MAX_N}, got {s.n}"
@@ -277,14 +278,11 @@ def min_normalizer_weight(s: StabilizerSet) -> int:
     complement = _complement_rows(s)
     if not complement:
         raise ValueError("normalizer equals the stabilizer; nothing to scan")
-    xs, zs = _compact(s.d, [(g.one, g.two) for g in s.gens] + complement, s.n)
-    r = s.rank
-    return _kernels.min_weight_excluding_span(xs[:r], zs[:r], xs[r:], zs[r:], s.n, s.d)
-
-
-def _compact(d: int, rows: list[tuple[int, int]], n: int) -> tuple[list, list]:
-    """The x and the z components of each row, as (value 1, value 2) pairs
-    of compact planes."""
-    x1, z1 = split([one for one, _ in rows], n)
-    x2, z2 = split([two for _, two in rows], n) if d == 3 else ([0] * len(rows),) * 2
-    return list(zip(x1, x2)), list(zip(z1, z2))
+    return _kernels.min_weight_excluding_span(
+        [g.one for g in s.gens],
+        [g.two for g in s.gens],
+        [one for one, _ in complement],
+        [two for _, two in complement],
+        s.n,
+        s.d,
+    )

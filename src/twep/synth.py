@@ -11,21 +11,20 @@ whole protocol spends at most ceil(log2 |E|) + 2 measurements.
 The decision tree is built once, up front, on ``engine``'s outcome-tree
 walk, whose report is then the tree's proof; the strategy looks its steps
 up in that tree, and the step statistics are read from it.
-Each node's scan is ``_kernels.best_splitter``, fed compact x and z
-planes: it visits candidates in key order and stops at the first split no
-candidate can beat.  A synthesis converts the enumeration's rows to planes
-once, and a node takes its survivors' planes by index; the span and
+Each node's scan is ``_kernels.best_splitter``, fed its survivors' rows,
+which it takes from the enumeration by index: it visits candidates in key
+order and stops at the first split no candidate can beat.  The span and
 normalizer complement planes are built once per stabilizer, which sibling
-nodes share.  So a node pays only for its own survivors.
+nodes share, so a node pays only for its own survivors.  The scan's
+counts are kept per Measure node; they are the step statistics' splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import _kernels
-from ._kernels import interleave, split
+from ._kernels import split
 from .bounds import thm2_k
 from .engine import (
     Finish,
@@ -89,20 +88,16 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
         raise SizeLimitError(f"generator scan needs n <= {SCAN_MAX_N}, got {s.n}")
     for e in errors.members:
         s._check(e)
-    rows = [e.one for e in errors.members]
-    return _best_splitter(s, rows, *split(rows, s.n), {})
+    return _best_splitter(s, [e.one for e in errors.members], {})[0]
 
 
 def _best_splitter(
-    s: StabilizerSet,
-    rows: list[int],
-    err_x: list[int],
-    err_z: list[int],
-    planes: dict[tuple, tuple],
-) -> PauliVec:
-    """``choose_generator``'s operator for qubit errors given as rows and as
-    their compact planes.  ``planes`` memoizes ``_scan_planes`` by generator
-    tuple and gains an entry for ``s`` if it has none."""
+    s: StabilizerSet, rows: list[int], planes: dict[tuple, tuple]
+) -> tuple[PauliVec, int]:
+    """``choose_generator``'s operator for qubit errors given as rows, and
+    how many of the errors commute with it.  ``planes`` memoizes
+    ``_scan_planes`` by generator tuple and gains an entry for ``s`` if it
+    has none."""
     residues = map(s._rows.reduce, rows)
     first = next(residues, None)
     if len(rows) < 2 or all(r == first for r in residues):
@@ -114,8 +109,8 @@ def _best_splitter(
     scan = planes[s.gens]
     if not scan:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
-    x, z, _, _ = _kernels.best_splitter(*scan, err_x, err_z, s.n)
-    return _from_planes(2, s.n, interleave(x, z), 0)
+    row, commuting, _ = _kernels.best_splitter(*scan, rows, s.n)
+    return _from_planes(2, s.n, row, 0), commuting
 
 
 def _scan_planes(s: StabilizerSet) -> tuple:
@@ -130,23 +125,19 @@ def _scan_planes(s: StabilizerSet) -> tuple:
     )
 
 
-class _Node(NamedTuple):
-    """One node of the greedy tree: its step and the ascending enumeration
-    indices of its survivors."""
-
-    step: Step
-    reached: tuple[int, ...]
-
-
-def _synthesize(n: int, t: int) -> tuple[Strategy, dict[tuple, _Node], Report]:
-    """The greedy strategy, its decision tree keyed by history entries, and
-    the tree's verification report.
+def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
+    """The greedy strategy, its decision tree (history entries to step),
+    each Measure node's split (history entries to the enumeration index of
+    its first survivor, its children's depth, its commuting count and its
+    survivor count), and the tree's verification report.
 
     The tree grows on ``engine._walk``: a node whose survivors admit no
     separator finishes, any other measures ``choose_generator``'s operator.
     The walk reaches exactly the histories the strategy is ever consulted
     on, and its report is ``verify(strategy)``, because the chooser answers
-    each node as the finished strategy does."""
+    each node as the finished strategy does.  A node passes the kernel its
+    survivors' rows, and the span and complement planes are built once
+    per stabilizer, which sibling nodes share."""
     if n < 1 or not 0 <= t <= n:
         raise ValueError(
             f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"
@@ -154,24 +145,27 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict[tuple, _Node], Report]:
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
     rows = [e.one for e in base_errors(2, n, t).members]
-    err_x, err_z = split(rows, n)
     planes: dict[tuple, tuple] = {}
-    tree: dict[tuple, _Node] = {}
+    tree: dict[tuple, Step] = {}
+    splits: dict[tuple, tuple[int, int, int, int]] = {}
 
     def choose(history: History, s: StabilizerSet, reached: tuple[int, ...]) -> Step:
-        survivors = ([v[i] for i in reached] for v in (rows, err_x, err_z))
+        entries = history.entries
         try:
-            step = Measure(_best_splitter(s, *survivors, planes))
+            op, commuting = _best_splitter(s, [rows[i] for i in reached], planes)
         except NoSeparatorError:
             step = Finish()
-        tree[history.entries] = _Node(step, reached)
+        else:
+            step = Measure(op)
+            splits[entries] = (reached[0], len(entries) + 1, commuting, len(reached))
+        tree[entries] = step
         return step
 
     k_claimed = max(0, thm2_k(n, t))
     strategy = Strategy(
-        2, n, t, k_claimed, lambda h: tree[h.entries].step, name=f"greedy-{n}-{t}"
+        2, n, t, k_claimed, lambda h: tree[h.entries], name=f"greedy-{n}-{t}"
     )
-    return strategy, tree, _walk(strategy, choose)
+    return strategy, tree, splits, _walk(strategy, choose)
 
 
 def greedy_strategy(n: int, t: int) -> Strategy:
@@ -208,25 +202,18 @@ def greedy_step_stats(n: int, t: int):
     whose split is unbalanced is listed once, as "step <depth of its
     children>", ordered by the enumeration index of its first survivor,
     then by depth."""
-    _, tree, report = _synthesize(n, t)
-    unbalanced = {}
-    for key, node in tree.items():
-        if not key:
-            continue
-        parent = tree[key[:-1]]
-        total, size = len(parent.reached), len(node.reached)
-        if not _balanced(max(size, total - size), total):
-            c = size if key[-1][1] == 0 else total - size
-            line = f"step {len(key)}: split {c}/{total - c} of {total}"
-            # Both children of the node give the same entry.
-            unbalanced[key[:-1]] = (parent.reached[0], len(key), line)
-    violations = sorted(unbalanced.values())
+    _, tree, splits, report = _synthesize(n, t)
+    violations = [
+        f"step {depth}: split {c}/{total - c} of {total}"
+        for _, depth, c, total in sorted(splits.values())
+        if not _balanced(max(c, total - c), total)
+    ]
     stats = GreedyStats(
         step_bound=(count_errors(n, t, 2) - 1).bit_length() + 2,
         max_steps=max(
-            len(key) for key, node in tree.items() if isinstance(node.step, Finish)
+            len(key) for key, step in tree.items() if isinstance(step, Finish)
         ),
         balance_ok=not violations,
-        balance_violations=tuple(line for _, _, line in violations),
+        balance_violations=tuple(violations),
     )
     return report, stats

@@ -277,16 +277,15 @@ def best_splitter_reference(
     span_z: list[int],
     comp_x: list[int],
     comp_z: list[int],
-    err_x: list[int],
-    err_z: list[int],
+    errors: list[int],
     n: int,
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int]:
     """The full scan ``_kernels.best_splitter`` replaced, on PauliVec
     operations alone: each nonzero complement combination is split against
-    the errors by ``symplectic_product``, the smallest larger side wins, and
-    ties go to the smallest ``canonical_key`` over every combination times
-    every span element.  Returns the winning operator's x and z bits and its
-    own commuting and anticommuting counts."""
+    the errors, decoded from their rows, by ``symplectic_product``, the
+    smallest larger side wins, and ties go to the smallest ``canonical_key``
+    over every combination times every span element.  Returns the winning
+    operator's row and its own commuting and anticommuting counts."""
     if not comp_x:
         raise ValueError("complement basis is empty: nothing outside the span")
 
@@ -301,26 +300,40 @@ def best_splitter_reference(
         return out
 
     span = products([operator(x, z) for x, z in zip(span_x, span_z)])
-    errors = [operator(x, z) for x, z in zip(err_x, err_z)]
+    decoded = [row_operator_reference(e, n) for e in errors]
     best = None
     for c in products([operator(x, z) for x, z in zip(comp_x, comp_z)])[1:]:
-        anti = sum(symplectic_product(c, e) for e in errors)
-        side = max(anti, len(errors) - anti)
+        anti = sum(symplectic_product(c, e) for e in decoded)
+        side = max(anti, len(decoded) - anti)
         key, op = min((canonical_key(p), p) for p in (multiply(c, s) for s in span))
         if best is None or (side, key) < best[:2]:
             best = side, key, op
     op = best[2]
-    anti = sum(symplectic_product(op, e) for e in errors)
-    return bits_reference(op.x), bits_reference(op.z), len(errors) - anti, anti
+    anti = sum(symplectic_product(op, e) for e in decoded)
+    row = sum(x << 2 * i | z << 2 * i + 1 for i, (x, z) in enumerate(zip(op.x, op.z)))
+    return row, len(decoded) - anti, anti
 
 
-def anticommuting_reference(x: int, z: int, err_x: list[int], err_z: list[int]) -> int:
-    """Bit-row of a qubit operator with compact planes x and z: bit e set
-    iff it anticommutes with error e, one error at a time."""
-    row = 0
-    for ex, ez in zip(reversed(err_x), reversed(err_z)):
-        row = row << 1 | ((x & ez) ^ (z & ex)).bit_count() & 1
-    return row
+def row_operator_reference(row: int, n: int) -> PauliVec:
+    """The qubit operator whose row is ``row``: x[i] is bit 2i, z[i] bit
+    2i + 1."""
+    return PauliVec(
+        2,
+        n,
+        tuple(row >> 2 * i & 1 for i in range(n)),
+        tuple(row >> 2 * i + 1 & 1 for i in range(n)),
+    )
+
+
+def anticommuting_reference(op: int, errors: list[int], n: int) -> int:
+    """Bit-row of a qubit operator given as a row: bit e set iff it
+    anticommutes with the error whose row is errors[e], one error at a time
+    by ``symplectic_product``."""
+    p = row_operator_reference(op, n)
+    return sum(
+        symplectic_product(p, row_operator_reference(e, n)) << i
+        for i, e in enumerate(errors)
+    )
 
 
 def columns_reference(planes: list[int], n: int) -> list[int]:

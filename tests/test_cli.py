@@ -281,7 +281,7 @@ class TestSizeGates:
     @pytest.mark.parametrize(
         "m, message",
         [
-            (16, "196606 errors on 65535 registers needs about 3215 MB"),
+            (16, "196606 errors on 65535 registers needs about 4751 MB"),
             (40, "the limit is 128 MB"),
         ],
         ids=["m16", "m40"],

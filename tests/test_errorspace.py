@@ -63,20 +63,20 @@ class TestCounting:
 
     def test_walk_gate_admits_hamming_m13_and_rejects_m14(self):
         check_size(2**12 - 1, 1)
-        assert check_size(2**13 - 1, 1) == 24574 * (BYTES_PER_ERROR + 2 * 1024)
+        assert check_size(2**13 - 1, 1) == 24574 * (BYTES_PER_ERROR + 3 * 1024)
         with pytest.raises(SizeLimitError, match="912718 errors on 12 registers"):
             check_size(12, 6)
         with pytest.raises(
             SizeLimitError,
-            match="49150 errors on 16383 registers needs about 227 MB; the limit is 128 MB",
+            match="49150 errors on 16383 registers needs about 323 MB; the limit is 128 MB",
         ):
             check_size(2**14 - 1, 1)
         # The gate refuses exactly where the estimate passes the limit.
-        for d, planes in ((2, 2), (3, 4)):
+        for d, per_8 in ((2, 3), (3, 6)):
             for n in range(65):
                 for t in range(n + 1):
                     total = count_errors(n, t, d)
-                    estimate = total * (BYTES_PER_ERROR + planes * -(-n // 8))
+                    estimate = total * (BYTES_PER_ERROR + per_8 * -(-n // 8))
                     if estimate > MAX_WALK_BYTES:
                         with pytest.raises(SizeLimitError, match=f"of {total} errors"):
                             check_size(n, t, d)
@@ -118,6 +118,7 @@ def test_gate_estimate_bounds_the_measured_peak():
     baseline = _peak_bytes("baseline")
     for walk, (n, t, d) in [
         (("hamming", "10"), (2**10 - 1, 1, 2)),
+        (("hamming", "12"), (2**12 - 1, 1, 2)),
         (("discard", "9", "2", "12", "4"), (12, 4, 2)),
     ]:
         assert _peak_bytes(*walk) - baseline <= check_size(n, t, d), walk

@@ -243,7 +243,7 @@ def test_complete_discard_matches_on_the_registry_discards(monkeypatch):
         return original(s, registers)
 
     monkeypatch.setattr(engine, "complete_discard", recording)
-    for strategy in [get(name).strategy for name in names()] + [
+    for strategy in [get(name) for name in names()] + [
         hamming_family(6),
         hamming_family(7),
     ]:

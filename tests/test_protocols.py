@@ -156,10 +156,9 @@ class TestRegistry:
         ]
 
     def test_lookup_carries_claim(self):
-        named = get("nine-pair")
-        assert named.strategy.k_claimed == 1
-        assert named.name == "nine-pair"
-        assert named.provenance
+        strategy = get("nine-pair")
+        assert strategy.k_claimed == 1
+        assert strategy.name == "nine-pair"
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

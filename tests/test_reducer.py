@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import prop_checks
 from prop_checks import inverse, random_wide_stabilizer
+from twep import _kernels
 from twep.errorspace import ErrorSet, coset_classes
 from twep.pauli import PauliVec, multiply, parse
 from twep.stabilizer import (
@@ -156,6 +157,30 @@ def test_rank_zero_and_full_rank_complements_match_the_tuple_oracle(d, n):
     assert full.rank == n
     assert normalizer_complement_basis(full) == []
     assert prop_checks.normalizer_complement_basis_reference(full) == []
+
+
+@pytest.mark.parametrize(
+    "d, n, ranks",
+    [(2, 7, range(7)), (3, 5, range(5)), (2, 40, range(4)), (3, 33, range(4))],
+)
+def test_scan_of_value_plane_rows_matches_the_tuple_oracle(d, n, ranks):
+    """``min_weight_excluding_span`` fed the generators and the oracle's
+    complement basis as rows, split by value plane, at each rank; the wide
+    shapes put rows past the 64-bit column."""
+    rng = random.Random(100 * d + n)
+    for r in ranks:
+        for _ in range(4):
+            s = random_wide_stabilizer(rng, d, n, r)
+            complement = prop_checks.normalizer_complement_basis_reference(s)
+            scan = _kernels.min_weight_excluding_span(
+                [g.one for g in s.gens],
+                [g.two for g in s.gens],
+                [c.one for c in complement],
+                [c.two for c in complement],
+                n,
+                d,
+            )
+            assert scan == prop_checks.min_normalizer_weight_reference(s), (r, s.gens)
 
 
 @st.composite

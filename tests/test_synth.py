@@ -184,21 +184,22 @@ class TestGreedyStrategy:
 
     @pytest.mark.parametrize("n, t", [(6, 1), (7, 1), (7, 2)])
     def test_each_node_takes_the_public_choice(self, n, t):
-        """Synthesis converts the enumeration once and memoizes each
-        stabilizer's planes; every node, rebuilt from its history and its
-        survivors, still gets ``choose_generator``'s operator, and exactly
-        the Finish nodes have no separator."""
-        _, tree, _ = _synthesize(n, t)
-        members = base_errors(2, n, t).members
+        """Synthesis passes the kernel rows and memoizes each stabilizer's
+        planes; every node, rebuilt from its history with the survivors that
+        filtering along it keeps, still gets ``choose_generator``'s
+        operator, and exactly the Finish nodes have no separator."""
+        _, tree, _, _ = _synthesize(n, t)
         kinds = set()
-        for key, node in tree.items():
+        for key, step in tree.items():
             s = StabilizerSet(2, n, [op for op, _ in key])
-            survivors = ErrorSet(2, n, tuple(members[i] for i in node.reached))
-            kinds.add(type(node.step))
-            if isinstance(node.step, Measure):
-                assert choose_generator(s, survivors) == node.step.op, key
+            survivors = base_errors(2, n, t)
+            for op, outcome in key:
+                survivors = filter_by_outcome(survivors, op, outcome)
+            kinds.add(type(step))
+            if isinstance(step, Measure):
+                assert choose_generator(s, survivors) == step.op, key
             else:
-                assert isinstance(node.step, Finish)
+                assert isinstance(step, Finish)
                 with pytest.raises(NoSeparatorError):
                     choose_generator(s, survivors)
         assert kinds == {Measure, Finish}

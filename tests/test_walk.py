@@ -81,7 +81,7 @@ def test_registry_protocols_and_twins_under_relabelling(name, seed):
     """The protocol and its twin claiming one pair more.  The twin fails on
     each error whose branch certifies exactly k pairs, so those errors'
     transcripts are compared too."""
-    base = get(name).strategy
+    base = get(name)
     perm = list(range(base.n))
     random.Random(seed).shuffle(perm)
     runs = prop_checks.simulate_each(prop_checks.relabel(base, perm, base.k_claimed))
@@ -253,7 +253,7 @@ def test_report_text_without_a_finish_leaf():
 def test_failing_report_text_matches_its_golden_fixture():
     """The six-pair twin claiming 3: every error fails and the counterexamples
     at one Finish leaf share its transcript."""
-    base = get("six-pair").strategy
+    base = get("six-pair")
     report = verify(dataclasses.replace(base, k_claimed=3))
     golden = Path(__file__).parent / "fixtures" / "golden" / "report_six-pair_k3.out"
     assert report.to_text() == golden.read_text()
@@ -307,7 +307,7 @@ def test_each_history_is_consulted_once():
 def test_greedy_tree_is_consulted_once_per_node(n, t):
     """verify consults every node of greedy's tree exactly once, and
     consults no history outside it."""
-    strategy, tree, _ = synth._synthesize(n, t)
+    strategy, tree, _, _ = synth._synthesize(n, t)
     seen: Counter = Counter()
 
     def counting(history):
@@ -329,8 +329,9 @@ GREEDY_GRID = (
 @pytest.mark.parametrize("n, t", GREEDY_GRID)
 def test_greedy_report_is_verify_of_its_strategy(n, t):
     """Synthesis walks the tree once, and that walk's report is the one
-    ``verify`` gives the finished strategy; up to n = 7 each node's
-    survivors are the errors that filtering along its history keeps."""
+    ``verify`` gives the finished strategy; up to n = 7 each Measure node's
+    recorded split (first survivor, depth, commuting count, survivor count)
+    is what filtering the errors along its history gives."""
     report, _ = greedy_step_stats(n, t)
     reference = verify(greedy_strategy(n, t))
     assert report.to_text() == reference.to_text()
@@ -343,11 +344,19 @@ def test_greedy_report_is_verify_of_its_strategy(n, t):
         return
     base = enumerate_errors(n, t)
     position = {e: i for i, e in enumerate(base.members)}
-    for entries, node in synth._synthesize(n, t)[1].items():
+    _, tree, splits, _ = synth._synthesize(n, t)
+    assert set(splits) == {k for k, step in tree.items() if isinstance(step, Measure)}
+    for entries, split in splits.items():
         survivors = base
         for op, outcome in entries:
             survivors = filter_by_outcome(survivors, op, outcome)
-        assert node.reached == tuple(position[e] for e in survivors.members)
+        commuting = filter_by_outcome(survivors, tree[entries].op, 0)
+        assert split == (
+            position[survivors.members[0]],
+            len(entries) + 1,
+            len(commuting),
+            len(survivors),
+        )
 
 
 def test_each_distinct_discard_is_completed_once(monkeypatch):
