@@ -9,24 +9,22 @@ One reducer, ``Echelon``, serves both dimensions: for d=2 eliminating a
 column is one XOR, for d=3 one two-plane add.  The minimum-weight search
 reduces its syndrome rows with it.
 
-Both scans transpose what they are given as rows once (``_columns`` over
-the 2n columns), so that a site's column pair is read as two bit-rows
-over the operators.  The minimum-weight search takes every basis operator
-as a row, split by value plane.  The best-splitter scan, which assumes
-d=2, takes its errors as rows, but the span and complement basis of the
-stabilizer compact, as an x plane and a z plane with register i at bit i:
-the benchmark's tracer counts its candidates from those lists' lengths by
-position.  ``interleave`` and ``split`` convert between compact planes and
-a row plane, at C level.
+Both scans take a stabilizer's basis the same way, as
+``stabilizer._scan_basis`` builds it: the generators (the span) and the
+normalizer complement, each operator as its row split by value plane; for
+d=2 the value-2 planes are ignored.  The minimum-weight search transposes
+the basis planes once, and the best-splitter scan, which assumes d=2, its
+error rows (``_columns`` over the 2n columns), so that a site's column
+pair is read as two bit-rows over the operators.
 
 The splitter scan is transposed: each complement basis vector becomes one
 bit-row over the error list (bit e set iff the vector anticommutes with
 error e), so a candidate's anticommuting count is the popcount of the XOR
 of its rows.  A vector's row is the XOR of the error columns at its own
 row's set bits, with each site's x and z column swapped.
-Its tie-break key is linear too: for d=2 the canonical key is the row
-plane, and the smallest key in a coset of the span is a linear projection
-of any key in it.  Those projected keys are put in
+Its tie-break key is linear too: for d=2 an operator's canonical key is
+its row, and the smallest key in a coset of the span is a linear
+projection of any key in it.  Those projected keys are put in
 fully reduced GF(2) echelon form, each carrying its row, and sorted by
 pivot: the key of a combination then rises with its mask, since for masks
 a != b the top bit of key(a) ^ key(b) is the highest pivot in a ^ b.  The
@@ -174,25 +172,6 @@ def min_weight_excluding_span(
     return n
 
 
-def interleave(x: int, z: int) -> int:
-    """The row plane of compact x and z planes: bit i of x at bit 2i and of
-    z at bit 2i + 1.  A binary numeral read in base 4 moves bit i to 2i."""
-    return int(f"{x:b}", 4) + 2 * int(f"{z:b}", 4)
-
-
-def split(rows: list[int], n: int) -> tuple[list[int], list[int]]:
-    """Inverse of ``interleave`` on row planes over n >= 1 registers: their
-    compact x planes and their compact z planes.  In a row's binary numeral
-    of 2n digits the odd positions hold x and the even ones z, so slicing
-    the rows' numerals, joined, gives the x planes and the z planes, each
-    joined in n-bit fields."""
-    numerals = "".join(map(format, rows, repeat(f"0{2 * n}b")))
-    x, z = int(numerals[1::2] or "0", 2), int(numerals[::2] or "0", 2)
-    low = (1 << n) - 1
-    shifts = range(n * (len(rows) - 1), -1, -n)
-    return [x >> s & low for s in shifts], [z >> s & low for s in shifts]
-
-
 def _coset_min(v: int, basis: list[int]) -> int:
     """Smallest element of v + span(basis): v with every leading bit of the
     basis cleared, which is linear in v.  Basis rows have distinct leading
@@ -255,23 +234,24 @@ def _dual_columns(rows: list[int], n: int) -> list[int]:
 
 
 def best_splitter(
-    span_x: list[int],
-    span_z: list[int],
-    comp_x: list[int],
-    comp_z: list[int],
+    span_one: list[int],
+    span_two: list[int],
+    comp_one: list[int],
+    comp_two: list[int],
     errors: list[int],
     n: int,
 ) -> tuple[int, int, int]:
     """Scan the normalizer-minus-span for the operator that splits the error
     list most evenly.
 
-    The errors are qubit rows; the span and complement basis operators
-    enter compact, as x and z planes.  Returns (row, commuting,
+    The errors are qubit rows, and the span and complement basis operators
+    enter as ``min_weight_excluding_span``'s do, as rows split by value
+    plane, the value-2 planes ignored.  Returns (row, commuting,
     anticommuting) for the winner.  Candidates are ranked by smallest
-    max(|C|, |A|); ties go to the smallest canonical key.  Adding a span
-    element to a candidate never changes its split sizes, so the split is
-    computed once per complement combination, and the winner of a
-    combination's coset is its coset-minimal key.
+    max(|C|, |A|); ties go to the smallest canonical key, which is the row
+    itself.  Adding a span element to a candidate never changes its split
+    sizes, so the split is computed once per complement combination, and
+    the winner of a combination's coset is its coset-minimal key.
 
     Rows: the errors are transposed once per call (``_dual_columns``), and
     each complement vector's anticommutation row, like the winner's, is an
@@ -286,15 +266,13 @@ def best_splitter(
     counts are reachable; otherwise the bound is ceil(ne / 2).
     """
     ne = len(errors)
-    if not comp_x:
+    if not comp_one:
         raise ValueError("complement basis is empty: nothing outside the span")
     dual = _dual_columns(errors, n)
-    span_keys = list(map(interleave, span_x, span_z))
-    span = [k for k, _ in _key_order(span_keys, [0] * len(span_keys))]
-    comp_keys = list(map(interleave, comp_x, comp_z))
+    span = [k for k, _ in _key_order(span_one, [0] * len(span_one))]
     basis = _key_order(
-        [_coset_min(k, span) for k in comp_keys],
-        [_xor_at(k, dual) for k in comp_keys],
+        [_coset_min(k, span) for k in comp_one],
+        [_xor_at(k, dual) for k in comp_one],
     )
     rows = [r for _, r in basis]
     larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .pauli import SUPPORTED_DIMENSIONS
 from .pauli import PauliVec, _dot, _dual, _from_planes, canonical_key, weight
 # Unused here; perfbench's tracer wraps ``errorspace.symplectic_product``.
 from .pauli import symplectic_product
@@ -78,6 +79,8 @@ def enumerate_errors(n: int, t: int, d: int = 2) -> ErrorSet:
     order of the rest, which lies on the sites below: the errors of weight
     w with top site s are the ones of weight w - 1 on the sites below s,
     in order, with each nonzero digit placed at s, in turn."""
+    if d not in SUPPORTED_DIMENSIONS:
+        raise ValueError(f"unsupported register dimension {d}")
     if not 0 <= t <= n:
         raise ValueError(f"weight bound t={t} lies outside 0..{n}")
     check_size(n, t, d)

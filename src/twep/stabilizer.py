@@ -267,22 +267,30 @@ def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:
     return [_from_planes(s.d, s.n, one, two) for one, two in _complement_rows(s)]
 
 
-def min_normalizer_weight(s: StabilizerSet) -> int:
-    """Minimum weight over normalizer elements outside the group; the code
-    corrects floor((result - 1) / 2) errors.  The generators and the
-    normalizer complement reach the scan as rows, split by value plane."""
-    if s.n > ENUMERATION_MAX_N:
-        raise SizeLimitError(
-            f"normalizer scan needs n <= {ENUMERATION_MAX_N}, got {s.n}"
-        )
+def _scan_basis(s: StabilizerSet) -> tuple:
+    """The basis both kernels scan, as rows split by value plane: (span
+    ones, span twos, complement ones, complement twos) for the generators
+    and the normalizer complement; empty if the complement is."""
     complement = _complement_rows(s)
     if not complement:
-        raise ValueError("normalizer equals the stabilizer; nothing to scan")
-    return _kernels.min_weight_excluding_span(
+        return ()
+    return (
         [g.one for g in s.gens],
         [g.two for g in s.gens],
         [one for one, _ in complement],
         [two for _, two in complement],
-        s.n,
-        s.d,
     )
+
+
+def min_normalizer_weight(s: StabilizerSet) -> int:
+    """Minimum weight over normalizer elements outside the group; the code
+    corrects floor((result - 1) / 2) errors.  The scan takes the
+    generators and the normalizer complement from ``_scan_basis``."""
+    if s.n > ENUMERATION_MAX_N:
+        raise SizeLimitError(
+            f"normalizer scan needs n <= {ENUMERATION_MAX_N}, got {s.n}"
+        )
+    basis = _scan_basis(s)
+    if not basis:
+        raise ValueError("normalizer equals the stabilizer; nothing to scan")
+    return _kernels.min_weight_excluding_span(*basis, s.n, s.d)

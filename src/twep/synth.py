@@ -14,9 +14,10 @@ up in that tree, and the step statistics are read from it.
 Each node's scan is ``_kernels.best_splitter``, fed its survivors' rows,
 which it takes from the enumeration by index: it visits candidates in key
 order and stops at the first split no candidate can beat.  The span and
-normalizer complement planes are built once per stabilizer, which sibling
-nodes share, so a node pays only for its own survivors.  The scan's
-counts are kept per Measure node; they are the step statistics' splits.
+normalizer complement rows (``stabilizer._scan_basis``) are built once per
+stabilizer, which sibling nodes share, so a node pays only for its own
+survivors.  The scan's counts are kept per Measure node; they are the
+step statistics' splits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from ._kernels import split
 from .bounds import thm2_k
 from .engine import (
     Finish,
@@ -38,7 +38,7 @@ from .engine import (
 )
 from .errorspace import ErrorSet, base_errors, count_errors
 from .pauli import PauliVec, _from_planes, symplectic_product
-from .stabilizer import SizeLimitError, StabilizerSet, _complement_rows
+from .stabilizer import SizeLimitError, StabilizerSet, _scan_basis
 
 # Unused here; perfbench's tracer wraps each of these as ``synth.<name>``.
 from .engine import simulate, verify
@@ -92,11 +92,11 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
 
 
 def _best_splitter(
-    s: StabilizerSet, rows: list[int], planes: dict[tuple, tuple]
+    s: StabilizerSet, rows: list[int], bases: dict[tuple, tuple]
 ) -> tuple[PauliVec, int]:
     """``choose_generator``'s operator for qubit errors given as rows, and
-    how many of the errors commute with it.  ``planes`` memoizes
-    ``_scan_planes`` by generator tuple and gains an entry for ``s`` if it
+    how many of the errors commute with it.  ``bases`` memoizes
+    ``_scan_basis`` by generator tuple and gains an entry for ``s`` if it
     has none."""
     residues = map(s._rows.reduce, rows)
     first = next(residues, None)
@@ -104,25 +104,13 @@ def _best_splitter(
         raise NoSeparatorError(
             "remaining errors are coset-equivalent; no separator exists or is needed"
         )
-    if s.gens not in planes:
-        planes[s.gens] = _scan_planes(s)
-    scan = planes[s.gens]
-    if not scan:
+    if s.gens not in bases:
+        bases[s.gens] = _scan_basis(s)
+    basis = bases[s.gens]
+    if not basis:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
-    row, commuting, _ = _kernels.best_splitter(*scan, rows, s.n)
+    row, commuting, _ = _kernels.best_splitter(*basis, rows, s.n)
     return _from_planes(2, s.n, row, 0), commuting
-
-
-def _scan_planes(s: StabilizerSet) -> tuple:
-    """The span and normalizer complement planes ``best_splitter`` takes
-    for s, as compact x and z lists; empty if the complement is."""
-    complement = _complement_rows(s)
-    if not complement:
-        return ()
-    return (
-        *split([g.one for g in s.gens], s.n),
-        *split([one for one, _ in complement], s.n),
-    )
 
 
 def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
@@ -136,8 +124,8 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     The walk reaches exactly the histories the strategy is ever consulted
     on, and its report is ``verify(strategy)``, because the chooser answers
     each node as the finished strategy does.  A node passes the kernel its
-    survivors' rows, and the span and complement planes are built once
-    per stabilizer, which sibling nodes share."""
+    survivors' rows, and the span and complement rows are built once per
+    stabilizer, which sibling nodes share."""
     if n < 1 or not 0 <= t <= n:
         raise ValueError(
             f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"
@@ -145,14 +133,14 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
     rows = [e.one for e in base_errors(2, n, t).members]
-    planes: dict[tuple, tuple] = {}
+    bases: dict[tuple, tuple] = {}
     tree: dict[tuple, Step] = {}
     splits: dict[tuple, tuple[int, int, int, int]] = {}
 
     def choose(history: History, s: StabilizerSet, reached: tuple[int, ...]) -> Step:
         entries = history.entries
         try:
-            op, commuting = _best_splitter(s, [rows[i] for i in reached], planes)
+            op, commuting = _best_splitter(s, [rows[i] for i in reached], bases)
         except NoSeparatorError:
             step = Finish()
         else:

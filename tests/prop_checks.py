@@ -273,36 +273,37 @@ def min_normalizer_weight_reference(s: StabilizerSet) -> int:
 
 
 def best_splitter_reference(
-    span_x: list[int],
-    span_z: list[int],
-    comp_x: list[int],
-    comp_z: list[int],
+    span_one: list[int],
+    span_two: list[int],
+    comp_one: list[int],
+    comp_two: list[int],
     errors: list[int],
     n: int,
 ) -> tuple[int, int, int]:
     """The full scan ``_kernels.best_splitter`` replaced, on PauliVec
     operations alone: each nonzero complement combination is split against
-    the errors, decoded from their rows, by ``symplectic_product``, the
-    smallest larger side wins, and ties go to the smallest ``canonical_key``
-    over every combination times every span element.  Returns the winning
-    operator's row and its own commuting and anticommuting counts."""
-    if not comp_x:
+    the errors by ``symplectic_product``, the smallest larger side wins,
+    and ties go to the smallest ``canonical_key`` over every combination
+    times every span element.  The basis and the errors are decoded from
+    their rows (the value-2 planes are ignored, as for d=2 they are 0).
+    Returns the winning operator's row and its own commuting and
+    anticommuting counts."""
+    if not comp_one:
         raise ValueError("complement basis is empty: nothing outside the span")
 
-    def operator(x: int, z: int) -> PauliVec:
-        return PauliVec(2, n, *(tuple(v >> i & 1 for i in range(n)) for v in (x, z)))
-
-    def products(basis: list[PauliVec]) -> list[PauliVec]:
-        """Every product of a subset of the basis, the identity first."""
+    def products(rows: list[int]) -> list[PauliVec]:
+        """Every product of a subset of the rows' operators, the identity
+        first."""
         out = [PauliVec.identity(2, n)]
-        for b in basis:
+        for row in rows:
+            b = row_operator_reference(row, n)
             out += [multiply(p, b) for p in out]
         return out
 
-    span = products([operator(x, z) for x, z in zip(span_x, span_z)])
+    span = products(span_one)
     decoded = [row_operator_reference(e, n) for e in errors]
     best = None
-    for c in products([operator(x, z) for x, z in zip(comp_x, comp_z)])[1:]:
+    for c in products(comp_one)[1:]:
         anti = sum(symplectic_product(c, e) for e in decoded)
         side = max(anti, len(decoded) - anti)
         key, op = min((canonical_key(p), p) for p in (multiply(c, s) for s in span))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import twep
 from twep import errorspace
+from twep.engine import Finish, Strategy, verify
 from twep.errorspace import (
     BYTES_PER_ERROR,
     MAX_WALK_BYTES,
@@ -161,6 +162,18 @@ class TestEnumerationOrder:
             enumerate_errors(3, t)
         with pytest.raises(ValueError):
             base_errors(2, 3, t)
+
+    @pytest.mark.parametrize("d", [0, 1, 4, 5])
+    def test_unsupported_dimension_is_refused(self, d):
+        """Errors are built unchecked, so an unsupported d would give
+        malformed operators: a d=1 strategy would pass on them and d=4 or
+        d=5 ones fail."""
+        message = rf"^unsupported register dimension {d}$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_errors(2, 1, d)
+        strategy = Strategy(d=d, n=2, t=1, k_claimed=0, next=lambda h: Finish())
+        with pytest.raises(ValueError, match=message):
+            verify(strategy)
 
     def test_gate_refuses_before_any_plane_is_built(self, monkeypatch):
         def built(*args):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 from click.testing import CliRunner
 
-from twep import cli
+from twep import cli, synth
 from twep.engine import Report, verify
 from twep.pauli import parse
 from twep.protocols import FIVE_QUBIT_GENERATORS, nine_pair, qutrit_four
@@ -60,3 +60,13 @@ def test_a_traced_run_reaches_every_kernel():
         "stabilizer.complete_discard",
     ):
         assert summary.get(f"{name}.calls", 0) > 0, name
+    # The counters read the kernels' arguments by position: the complement
+    # (2(n - rank) rows), the errors and the span.  Each greedy Measure
+    # node is one splitter call on its survivors.
+    splits = synth._synthesize(6, 1)[2]
+    assert summary["kernels.best_splitter.calls"] == len(splits) == 11
+    assert summary["kernels.best_splitter.pair_checks"] == sum(
+        ((1 << 2 * (6 - len(entries))) - 1) * total
+        for entries, (_, _, _, total) in splits.items()
+    ) == 102_780
+    assert summary["kernels.min_weight_excluding_span.operators"] == 48

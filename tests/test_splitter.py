@@ -21,21 +21,14 @@ from hypothesis import strategies as st
 
 import prop_checks
 from twep import _kernels
-from twep._kernels import split
 from twep.errorspace import base_errors
 from twep.pauli import PauliVec, multiply
-from twep.stabilizer import StabilizerSet, _complement_rows
+from twep.stabilizer import StabilizerSet, _complement_rows, _scan_basis
 
 
 def _arguments(s: StabilizerSet, errors: list[PauliVec]) -> tuple:
     """``best_splitter``'s arguments as ``synth.choose_generator`` builds them."""
-    n = s.n
-    return (
-        *split([g.one for g in s.gens], n),
-        *split([one for one, _ in _complement_rows(s)], n),
-        [e.one for e in errors],
-        n,
-    )
+    return (*_scan_basis(s), [e.one for e in errors], s.n)
 
 
 def _group_element(rng: random.Random, s: StabilizerSet) -> PauliVec:
@@ -147,7 +140,9 @@ def test_edge_nodes(seed):
 
 def test_full_rank_has_no_candidate():
     s = prop_checks.random_stabilizer(random.Random(3), 2, 4, 4)
-    args = _arguments(s, [PauliVec.identity(2, 4)])
+    assert _scan_basis(s) == ()
+    gens = [g.one for g in s.gens]
+    args = (gens, [0] * len(gens), [], [], [PauliVec.identity(2, 4).one], 4)
     for scan in (_kernels.best_splitter, prop_checks.best_splitter_reference):
         with pytest.raises(ValueError, match="complement basis is empty"):
             scan(*args)
