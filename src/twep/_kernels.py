@@ -22,15 +22,16 @@ bit-row over the error list (bit e set iff the vector anticommutes with
 error e), so a candidate's anticommuting count is the popcount of the XOR
 of its rows.  A vector's row is the XOR of the error columns at its own
 row's set bits, with each site's x and z column swapped.
-Its tie-break key is linear too: for d=2 an operator's canonical key is
-its row, and the smallest key in a coset of the span is a linear
-projection of any key in it.  Those projected keys are put in
-fully reduced GF(2) echelon form, each carrying its row, and sorted by
-pivot: the key of a combination then rises with its mask, since for masks
-a != b the top bit of key(a) ^ key(b) is the highest pivot in a ^ b.  The
-scan sweeps masks upward in blocks of C-level ``map`` calls, so the first
-candidate reaching the smallest larger side is the winner, and it stops at
-a block that reaches a lower bound no candidate can beat.
+Its tie-break needs no reduction in the kernel: for d=2 an operator's
+canonical key is its row, and the complement comes in key form
+(``stabilizer._complement_rows``): ascending, each row's leading bit set
+in no other row and in no leading bit of the span's fully reduced basis.
+Each combination is then the smallest key in its coset of the span, and
+keys rise with the mask, since for masks a != b the top bit of key(a) ^
+key(b) is the highest leading bit in a ^ b.  The scan sweeps masks upward
+in blocks of C-level ``map`` calls, so the first candidate reaching the
+smallest larger side is the winner, and it stops at a block that reaches a
+lower bound no candidate can beat.
 """
 
 from __future__ import annotations
@@ -172,36 +173,6 @@ def min_weight_excluding_span(
     return n
 
 
-def _coset_min(v: int, basis: list[int]) -> int:
-    """Smallest element of v + span(basis): v with every leading bit of the
-    basis cleared, which is linear in v.  Basis rows have distinct leading
-    bits and are either fully reduced or sorted by them, highest first."""
-    for b in basis:
-        v = min(v, v ^ b)
-    return v
-
-
-def _key_order(keys: list[int], rows: list[int]) -> list[tuple[int, int]]:
-    """Fully reduced GF(2) echelon basis of the keys' span, sorted by key.
-
-    Each key carries its row through the same XORs.  A basis key's leading
-    bit (its pivot) is set in no other basis key, so the XOR of a set of
-    basis keys has as its leading bit the highest pivot in the set: the
-    order of combinations by key is the order of their masks as integers.
-    Zero keys (dependent on earlier ones) are dropped."""
-    basis: list[tuple[int, int]] = []
-    for key, row in zip(keys, rows):
-        for k, r in basis:
-            if key ^ k < key:
-                key, row = key ^ k, row ^ r
-        if key:
-            pivot = 1 << (key.bit_length() - 1)
-            basis = [(k ^ key, r ^ row) if k & pivot else (k, r) for k, r in basis]
-            basis.append((key, row))
-    basis.sort()
-    return basis
-
-
 def _combinations(rows: list[int]) -> list[int]:
     """XOR of every subset of rows; entry i combines the rows at the set bits
     of i, so entry 0 is the empty combination."""
@@ -250,31 +221,30 @@ def best_splitter(
     anticommuting) for the winner.  Candidates are ranked by smallest
     max(|C|, |A|); ties go to the smallest canonical key, which is the row
     itself.  Adding a span element to a candidate never changes its split
-    sizes, so the split is computed once per complement combination, and
-    the winner of a combination's coset is its coset-minimal key.
+    sizes, so the split is computed once per complement combination.
+
+    Precondition: the complement rows are in key form, as
+    ``stabilizer._complement_rows`` returns them: ascending, each row's
+    leading bit set in no other complement row and in no leading bit of the
+    span's fully reduced basis.  A combination is then its coset's smallest
+    key, and its key rises with its mask, so the span rows are not read.
 
     Rows: the errors are transposed once per call (``_dual_columns``), and
     each complement vector's anticommutation row, like the winner's, is an
     XOR of those columns, with no pass over the errors.
 
-    Key order: in the basis ``_key_order`` returns, a combination's key
-    rises with its mask, so masks are scanned upward and the first one
-    reaching the smallest larger side yet seen is the winner; only its key
-    is built.  Stop rule: the scan ends at a block that reaches the least
-    larger side over anticommuting counts of reachable parity.  Parity is
-    linear in the mask, so when every row has even popcount only even
-    counts are reachable; otherwise the bound is ceil(ne / 2).
+    Scan order: masks are scanned upward and the first one reaching the
+    smallest larger side yet seen is the winner; only its key is built.
+    Stop rule: the scan ends at a block that reaches the least larger side
+    over anticommuting counts of reachable parity.  Parity is linear in the
+    mask, so when every row has even popcount only even counts are
+    reachable; otherwise the bound is ceil(ne / 2).
     """
     ne = len(errors)
     if not comp_one:
         raise ValueError("complement basis is empty: nothing outside the span")
     dual = _dual_columns(errors, n)
-    span = [k for k, _ in _key_order(span_one, [0] * len(span_one))]
-    basis = _key_order(
-        [_coset_min(k, span) for k in comp_one],
-        [_xor_at(k, dual) for k in comp_one],
-    )
-    rows = [r for _, r in basis]
+    rows = [_xor_at(k, dual) for k in comp_one]
     larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
     even = all(r.bit_count() % 2 == 0 for r in rows)
     bound = min(larger_side[:: 2 if even else 1])
@@ -292,9 +262,6 @@ def best_splitter(
             best, winner = m, (i << low) + start + sides.index(m)
             if m == bound:
                 break
-    key = 0
-    for j, (k, _) in enumerate(basis):
-        if winner >> j & 1:
-            key ^= k
+    key = _xor_at(winner, comp_one)
     anti = _xor_at(key, dual).bit_count()
     return key, ne - anti, anti

@@ -64,25 +64,19 @@ def mi_sequence(length: int) -> list[int]:
     m_0 = 1 and m_i is the largest integer m with (m + sqrt(m))/2 at most
     m_{i-1} + 1.  The square root is eliminated: with B = 2 m_{i-1} + 2 the
     test is m <= B and m <= (B - m)^2, exact in integers (the boundary case
-    m=4, B=6 is an equality a float sqrt could misclassify).
+    m=4, B=6 is an equality a float sqrt could misclassify).  Writing
+    m = B - s, the test is s(s + 1) >= B, so m_i = B - s for the least such
+    s: isqrt(B) or one more, since (isqrt(B) - 1) isqrt(B) < B.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     seq = [1]
     while len(seq) < length:
         bound = 2 * seq[-1] + 2
-
-        def feasible(m: int) -> bool:
-            return m <= (bound - m) * (bound - m)
-
-        lo, hi = 1, bound
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        seq.append(lo)
+        s = math.isqrt(bound)
+        if s * (s + 1) < bound:
+            s += 1
+        seq.append(bound - s)
     return seq
 
 

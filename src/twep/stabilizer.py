@@ -244,7 +244,17 @@ def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
     rejected and 2(n - r) kept.  Once r are rejected, the kept ones and
     the rest already number 2(n - r), so every remaining vector is kept
     without an insert; once 2(n - r) are kept, the rest would all be
-    rejected, so the loop stops."""
+    rejected, so the loop stops.
+
+    The rows come in key form, which ``_kernels.best_splitter`` relies on:
+    ascending, each row's highest column (its leading column) zero in every
+    other row, and every row zero at each leading column of the span's
+    fully reduced basis (leading columns highest, as keys compare).  A
+    normalizer basis vector's leading column is its free column, where the
+    other basis vectors are 0, so a combination leads at its highest free
+    column.  Free column f is rejected iff some span element leads at f, so
+    the rejected free columns are exactly the span's leading columns, and
+    the kept vectors are 0 there."""
     rows, r = s._rows, s.rank
     basis = _constraint_nullspace(s)
     complement = []
@@ -258,6 +268,39 @@ def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
             rows = updated
             complement.append((one, two))
     return complement
+
+
+def _extended_basis(basis: tuple, s: StabilizerSet) -> tuple:
+    """``_scan_basis(s)`` for a qubit stabilizer whose last generator m is a
+    nonzero combination of its parent's complement, derived from the
+    parent's ``_scan_basis``, ``basis``, by one symplectic Gram-Schmidt
+    step in O(D) integer operations for a complement of D vectors.
+
+    The first complement vector p that anticommutes with m is added to
+    every other one that does and dropped: the rest commute with m and,
+    with the span and m, span the new normalizer.  p is 0 at the others'
+    leading columns and at the span's, so they keep their leading columns
+    and stay 0 at every other one's and the span's.  So only the one leading
+    at m's leading column has that column set; m's combination holds it,
+    and it is not p, since then m would anticommute with itself.  Reduced by
+    m it lies in the others' span, the new complement having one dimension
+    fewer, so it is dropped too.  The rest are in key form for the new span,
+    which is unique for the space they span, so this is
+    ``_complement_rows(s)``."""
+    span_one, span_two, comp, _ = basis
+    m = s.gens[-1].one
+    dual, _ = _dual(s.gens[-1])
+    anti = [(dual & k).bit_count() & 1 for k in comp]
+    p = comp[anti.index(1)]
+    lead = m.bit_length()
+    kept = [
+        k ^ p if a else k
+        for k, a in zip(comp, anti)
+        if k != p and k.bit_length() != lead
+    ]
+    if not kept:
+        return ()
+    return span_one + [m], span_two + [0], kept, [0] * len(kept)
 
 
 def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:

@@ -14,10 +14,13 @@ up in that tree, and the step statistics are read from it.
 Each node's scan is ``_kernels.best_splitter``, fed its survivors' rows,
 which it takes from the enumeration by index: it visits candidates in key
 order and stops at the first split no candidate can beat.  The span and
-normalizer complement rows (``stabilizer._scan_basis``) are built once per
+normalizer complement rows (``stabilizer._scan_basis``) are kept once per
 stabilizer, which sibling nodes share, so a node pays only for its own
-survivors.  The scan's counts are kept per Measure node; they are the
-step statistics' splits.
+survivors.  Only the root's basis is solved from scratch: a child's is
+derived from its parent's (``stabilizer._extended_basis``) in O(D) integer
+operations for a complement of D vectors, already in the key form the scan
+takes.  The scan's counts are kept per Measure node; they are the step
+statistics' splits.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .engine import (
 )
 from .errorspace import ErrorSet, base_errors, count_errors
 from .pauli import PauliVec, _from_planes, symplectic_product
-from .stabilizer import SizeLimitError, StabilizerSet, _scan_basis
+from .stabilizer import SizeLimitError, StabilizerSet, _extended_basis, _scan_basis
 
 # Unused here; perfbench's tracer wraps each of these as ``synth.<name>``.
 from .engine import simulate, verify
@@ -97,7 +100,8 @@ def _best_splitter(
     """``choose_generator``'s operator for qubit errors given as rows, and
     how many of the errors commute with it.  ``bases`` memoizes
     ``_scan_basis`` by generator tuple and gains an entry for ``s`` if it
-    has none."""
+    has none: derived from its parent's entry (``_extended_basis``), whose
+    splitter chose ``s``'s last generator, or else built from scratch."""
     residues = map(s._rows.reduce, rows)
     first = next(residues, None)
     if len(rows) < 2 or all(r == first for r in residues):
@@ -105,7 +109,8 @@ def _best_splitter(
             "remaining errors are coset-equivalent; no separator exists or is needed"
         )
     if s.gens not in bases:
-        bases[s.gens] = _scan_basis(s)
+        parent = bases.get(s.gens[:-1])
+        bases[s.gens] = _scan_basis(s) if parent is None else _extended_basis(parent, s)
     basis = bases[s.gens]
     if not basis:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
@@ -124,8 +129,9 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     The walk reaches exactly the histories the strategy is ever consulted
     on, and its report is ``verify(strategy)``, because the chooser answers
     each node as the finished strategy does.  A node passes the kernel its
-    survivors' rows, and the span and complement rows are built once per
-    stabilizer, which sibling nodes share."""
+    survivors' rows, and the span and complement rows are kept once per
+    stabilizer, which sibling nodes share; a child's are derived from its
+    parent's."""
     if n < 1 or not 0 <= t <= n:
         raise ValueError(
             f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"

@@ -345,6 +345,23 @@ def columns_reference(planes: list[int], n: int) -> list[int]:
     ]
 
 
+def mi_sequence_reference(length: int) -> list[int]:
+    """``bounds.mi_sequence`` by the binary search its closed form replaced:
+    m_i is the largest m in 1..B, B = 2 m_{i-1} + 2, with m <= (B - m)^2."""
+    seq = [1]
+    while len(seq) < length:
+        bound = 2 * seq[-1] + 2
+        lo, hi = 1, bound
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid <= (bound - mid) * (bound - mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        seq.append(lo)
+    return seq
+
+
 def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:
     """A combination of ``terms`` random vectors of the tuple normalizer
     basis of s (anything with d, n and gens), with random coefficients: an

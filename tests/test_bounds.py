@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from prop_checks import mi_sequence_reference
 
 from twep.bounds import (
     bounds_csv,
@@ -111,6 +112,11 @@ class TestMiSequence:
             upper = 2 * seq[i]
             lower = 2 * seq[i] - math.isqrt(2 * seq[i]) - 1
             assert lower <= seq[i + 1] <= upper, i
+
+    def test_closed_form_equals_the_binary_search(self):
+        reference = mi_sequence_reference(400)
+        for length in range(1, 401):
+            assert mi_sequence(length) == reference[:length], length
 
     def test_defining_inequality_is_tight(self):
         seq = mi_sequence(30)

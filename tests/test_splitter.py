@@ -9,7 +9,12 @@ stabilizer, as at the greedy root), one error, one complement vector, and
 survivors in a single coset, where no candidate reaches the bound.  The
 scan's anticommutation rows, read from the transposed error rows, are
 checked against their per-error definition, and the transpose against a
-per-bit one."""
+per-bit one.
+
+The scan relies on its complement coming in key form; that property of
+``_complement_rows`` is checked at every rank, and the child basis that
+synthesis derives from its parent's (``_extended_basis``) against
+``_scan_basis`` of the child."""
 
 from __future__ import annotations
 
@@ -20,10 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prop_checks
-from twep import _kernels
+from twep import _kernels, stabilizer, synth
 from twep.errorspace import base_errors
-from twep.pauli import PauliVec, multiply
-from twep.stabilizer import StabilizerSet, _complement_rows, _scan_basis
+from twep.pauli import PauliVec, _from_planes, multiply
+from twep.stabilizer import (
+    StabilizerSet,
+    _complement_rows,
+    _extended_basis,
+    _scan_basis,
+)
 
 
 def _arguments(s: StabilizerSet, errors: list[PauliVec]) -> tuple:
@@ -165,3 +175,80 @@ def test_odd_rows_keep_the_plain_bound():
         if all(row.bit_count() % 2 for row in rows):
             found += 1
             _assert_same(s, errors)
+
+
+def _leading_bits(keys: list[int]) -> int:
+    """Mask of the leading (highest) bits of the span's fully reduced basis:
+    those of any basis with distinct leading bits."""
+    basis: dict[int, int] = {}
+    for key in keys:
+        while key and key.bit_length() in basis:
+            key ^= basis[key.bit_length()]
+        if key:
+            basis[key.bit_length()] = key
+    return sum(1 << length - 1 for length in basis)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complement_is_in_key_form(n):
+    """Ascending, fully reduced, and zero at the span's leading bits, at
+    every rank: ``best_splitter``'s precondition."""
+    rng = random.Random(n)
+    for rank in range(n + 1):
+        for _ in range(12):
+            s = prop_checks.random_stabilizer(rng, 2, n, rank)
+            comp = [one for one, _ in _complement_rows(s)]
+            assert comp == sorted(comp)
+            leads = _leading_bits(comp)
+            assert leads == sum(1 << k.bit_length() - 1 for k in comp)
+            span_leads = _leading_bits([g.one for g in s.gens])
+            for k in comp:
+                assert k & leads == 1 << k.bit_length() - 1
+                assert not k & span_leads
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derived_child_basis_equals_the_scan_basis(n):
+    """The child of s measuring m, a nonzero combination of s's complement:
+    its basis derived from s's is the one built from scratch."""
+    rng = random.Random(100 + n)
+    for rank in range(n):
+        for _ in range(12):
+            s = prop_checks.random_stabilizer(rng, 2, n, rank)
+            basis = _scan_basis(s)
+            mask = rng.randrange(1, 1 << len(basis[2]))
+            m = _kernels._xor_at(mask, basis[2])
+            child = s.extend(_from_planes(2, n, m, 0))
+            assert _extended_basis(basis, child) == _scan_basis(child)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_synthesis_memo_entry_equals_the_scan_basis(n, monkeypatch):
+    memos = []
+
+    def recording(s, rows, bases):
+        memos.append(bases)
+        return best_splitter(s, rows, bases)
+
+    best_splitter = synth._best_splitter
+    monkeypatch.setattr(synth, "_best_splitter", recording)
+    for t in range(min(n, 2) + 1):
+        memos.clear()
+        synth._synthesize(n, t)
+        if not memos:
+            continue
+        for gens, basis in memos[0].items():
+            assert basis == _scan_basis(StabilizerSet(2, n, gens)), (t, gens)
+
+
+def test_synthesis_builds_one_basis_from_scratch(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s.gens)
+        return complement_rows(s)
+
+    complement_rows = stabilizer._complement_rows
+    monkeypatch.setattr(stabilizer, "_complement_rows", counting)
+    synth._synthesize(9, 1)
+    assert calls == [()]
