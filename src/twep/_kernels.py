@@ -32,6 +32,19 @@ key(b) is the highest leading bit in a ^ b.  The scan sweeps masks upward
 in blocks of C-level ``map`` calls, so the first candidate reaching the
 smallest larger side is the winner, and it stops at a block that reaches a
 lower bound no candidate can beat.
+
+A split depends only on the anticommutation row, so before the sweep a
+pre-pass (``_independent``) drops each complement vector whose row is a
+combination of the rows kept before it.  A vector is dropped exactly when
+some mask with row 0 has its highest bit there; reducing any mask by such
+masks gives a smaller one over kept vectors with the same row, and 0 only
+for a row that separates nothing.  So the first mask reaching the best
+split uses kept vectors only, a subset of key-form vectors is in key form,
+and the kept rows span the same space: winner and bound are unchanged, and
+the sweep costs 2^rho masks for rows of rank rho, not 2^D for D vectors.
+Deep in the tree rho, at most the number of the survivors' coset classes,
+is often far below D.  When no row separates anything (every row is 0 or
+all ones) every candidate ties and the first complement vector wins.
 """
 
 from __future__ import annotations
@@ -192,6 +205,24 @@ def _xor_at(bits: int, rows: list[int]) -> int:
     return acc
 
 
+def _independent(keys: list[int], rows: list[int]) -> tuple[list[int], list[int]]:
+    """The keys and rows left after dropping each row that is a combination
+    of the rows kept before it, in one pass: a kept row is stored reduced,
+    under its leading bit, and a row is dropped if reducing it by the
+    stored rows leaves 0."""
+    basis: dict[int, int] = {}
+    kept_keys, kept_rows = [], []
+    for key, row in zip(keys, rows):
+        reduced = row
+        while reduced and reduced.bit_length() in basis:
+            reduced ^= basis[reduced.bit_length()]
+        if reduced:
+            basis[reduced.bit_length()] = reduced
+            kept_keys.append(key)
+            kept_rows.append(row)
+    return kept_keys, kept_rows
+
+
 def _dual_columns(rows: list[int], n: int) -> list[int]:
     """The qubit rows transposed over their 2n columns (``_columns``), each
     site's x and z column swapped.  An operator anticommutes with row e iff
@@ -230,8 +261,13 @@ def best_splitter(
     key, and its key rises with its mask, so the span rows are not read.
 
     Rows: the errors are transposed once per call (``_dual_columns``), and
-    each complement vector's anticommutation row, like the winner's, is an
-    XOR of those columns, with no pass over the errors.
+    each complement vector's anticommutation row is an XOR of those
+    columns, with no pass over the errors.  Only the vectors whose rows are
+    independent of the rows before them are swept (``_independent``), in
+    2^rho masks for rows of rank rho; the full sweep's winner uses no other
+    vector (see the module docstring).  If every row is 0 or all ones,
+    every candidate ties at ``ne`` and the first complement vector is
+    returned, as the full sweep's mask 1.
 
     Scan order: masks are scanned upward and the first one reaching the
     smallest larger side yet seen is the winner; only its key is built.
@@ -244,8 +280,13 @@ def best_splitter(
     if not comp_one:
         raise ValueError("complement basis is empty: nothing outside the span")
     dual = _dual_columns(errors, n)
-    rows = [_xor_at(k, dual) for k in comp_one]
-    larger_side = [max(anti, ne - anti) for anti in range(ne + 1)]
+    all_rows = [_xor_at(k, dual) for k in comp_one]
+    keys, rows = _independent(comp_one, all_rows)
+    if not rows or rows == [(1 << ne) - 1]:
+        # Every candidate keeps all errors on one side, so mask 1 wins.
+        anti = all_rows[0].bit_count()
+        return comp_one[0], ne - anti, anti
+    larger_side = [*range(ne, ne - ne // 2 - 1, -1), *range(ne // 2 + 1, ne + 1)]
     even = all(r.bit_count() % 2 == 0 for r in rows)
     bound = min(larger_side[:: 2 if even else 1])
     # Mask (i << low) + j pairs high-half entry i with low-half entry j.
@@ -262,6 +303,5 @@ def best_splitter(
             best, winner = m, (i << low) + start + sides.index(m)
             if m == bound:
                 break
-    key = _xor_at(winner, comp_one)
-    anti = _xor_at(key, dual).bit_count()
-    return key, ne - anti, anti
+    anti = _xor_at(winner, rows).bit_count()
+    return _xor_at(winner, keys), ne - anti, anti

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errorspace import count_errors
+from .errorspace import count_errors, error_counts
 
 LOG2_3 = math.log2(3)
 
@@ -19,16 +19,29 @@ def _ceil_log2(value: int) -> int:
     return (value - 1).bit_length()
 
 
+def _hamming_k(n: int, errors: int) -> int:
+    """``hamming_max_k`` from the error count: 2^k * errors <= 2^n holds
+    exactly for k <= n - ceil(log2 errors)."""
+    k = n - _ceil_log2(errors)
+    return k if k >= 1 else -1
+
+
+def _gv_k(n: int, errors: int) -> int:
+    """``gv_k`` from the count of errors of weight <= 2t."""
+    return n - _ceil_log2(errors)
+
+
+def _thm2_k(n: int, errors: int) -> int:
+    """``thm2_k`` from the error count."""
+    return n - _ceil_log2(errors) - 2
+
+
 def hamming_max_k(n: int, t: int) -> int:
     """Largest k >= 1 with 2^k * (number of weight<=t errors) <= 2^n, the
     sphere-packing limit; -1 when not even one protected pair fits."""
     if not 0 <= t <= n:
         raise ValueError(f"t={t} lies outside 0..{n}")
-    total = count_errors(n, t, 2)
-    for k in range(n, 0, -1):
-        if (total << k) <= (1 << n):
-            return k
-    return -1
+    return _hamming_k(n, count_errors(n, t, 2))
 
 
 def singleton_max_k(n: int, t: int) -> int:
@@ -44,7 +57,7 @@ def gv_k(n: int, t: int) -> int:
     2^(n-k) >= number of weight<=2t errors."""
     if not 0 <= 2 * t <= n:
         raise ValueError(f"gv_k needs 0 <= 2t <= n, got t={t}, n={n}")
-    return n - _ceil_log2(count_errors(n, 2 * t, 2))
+    return _gv_k(n, count_errors(n, 2 * t, 2))
 
 
 def thm2_k(n: int, t: int) -> int:
@@ -55,7 +68,7 @@ def thm2_k(n: int, t: int) -> int:
     """
     if not 0 <= t <= n:
         raise ValueError(f"t={t} lies outside 0..{n}")
-    return n - _ceil_log2(count_errors(n, t, 2)) - 2
+    return _thm2_k(n, count_errors(n, t, 2))
 
 
 def mi_sequence(length: int) -> list[int]:
@@ -137,20 +150,21 @@ class BoundsRow:
 
 
 def bounds_table(n_values: list[int], t_values: list[int]) -> list[BoundsRow]:
-    """Grid of bounds over 0 <= t <= n, n-major then t-minor order."""
+    """Grid of bounds over 0 <= t <= n, n-major then t-minor order.  The
+    error counts of each n are summed once, up to weight min(n, 2 max t)."""
     rows = []
     for n in n_values:
-        for t in t_values:
-            if not 0 <= t <= n:
-                continue
+        ts = [t for t in t_values if 0 <= t <= n]
+        counts = error_counts(n, min(n, 2 * max(ts, default=0)))
+        for t in ts:
             rows.append(
                 BoundsRow(
                     n=n,
                     t=t,
-                    hamming_k=hamming_max_k(n, t),
+                    hamming_k=_hamming_k(n, counts[t]),
                     singleton_k=singleton_max_k(n, t),
-                    gv_k=gv_k(n, t) if 2 * t <= n else None,
-                    thm2_k=thm2_k(n, t),
+                    gv_k=_gv_k(n, counts[2 * t]) if 2 * t <= n else None,
+                    thm2_k=_thm2_k(n, counts[t]),
                 )
             )
     return rows

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
 from operator import mul
 
 import click
@@ -166,7 +165,7 @@ def bounds(n_range: str, t_range: str, fmt: str, output: str | None):
     if fmt == "csv":
         _emit(bounds_mod.bounds_csv(rows), output)
     else:
-        _emit(json.dumps(list(map(asdict, rows)), indent=2) + "\n", output)
+        _emit(json.dumps(list(map(vars, rows)), indent=2) + "\n", output)
 
 
 @main.command()
@@ -181,7 +180,7 @@ def rates(points: int, fmt: str, output: str | None):
     if fmt == "csv":
         _emit(bounds_mod.rates_csv(table), output)
     else:
-        _emit(json.dumps(list(map(asdict, table)), indent=2) + "\n", output)
+        _emit(json.dumps(list(map(vars, table)), indent=2) + "\n", output)
 
 
 @main.command()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .pauli import SUPPORTED_DIMENSIONS
 from .pauli import PauliVec, _dot, _dual, _from_planes, canonical_key, weight
@@ -47,11 +46,23 @@ class ErrorSet:
         return iter(self.members)
 
 
+def error_counts(n: int, top: int, d: int = 2) -> list[int]:
+    """Entry t is the number of phaseless errors of weight at most t on n
+    registers, including the identity, for t = 0..top: the partial sums of
+    (d^2-1)^j * C(n, j), each term computed from the one before."""
+    per_site = d * d - 1
+    counts, term, total = [], 1, 0
+    for j in range(top + 1):
+        total += term
+        counts.append(total)
+        term = term * per_site * (n - j) // (j + 1)
+    return counts
+
+
 def count_errors(n: int, t: int, d: int = 2) -> int:
     """Number of phaseless errors of weight at most t on n registers,
-    including the identity: sum of (d^2-1)^j * C(n, j)."""
-    per_site = d * d - 1
-    return sum(per_site**j * comb(n, j) for j in range(0, t + 1))
+    including the identity (``error_counts``); 0 for t < 0."""
+    return error_counts(n, t, d)[-1] if t >= 0 else 0
 
 
 def check_size(n: int, t: int, d: int = 2) -> int:

@@ -13,14 +13,19 @@ walk, whose report is then the tree's proof; the strategy looks its steps
 up in that tree, and the step statistics are read from it.
 Each node's scan is ``_kernels.best_splitter``, fed its survivors' rows,
 which it takes from the enumeration by index: it visits candidates in key
-order and stops at the first split no candidate can beat.  The span and
-normalizer complement rows (``stabilizer._scan_basis``) are kept once per
-stabilizer, which sibling nodes share, so a node pays only for its own
-survivors.  Only the root's basis is solved from scratch: a child's is
-derived from its parent's (``stabilizer._extended_basis``) in O(D) integer
-operations for a complement of D vectors, already in the key form the scan
-takes.  The scan's counts are kept per Measure node; they are the step
-statistics' splits.
+order and stops at the first split no candidate can beat.  It sweeps only
+the complement vectors whose anticommutation rows over the survivors are
+independent of the rows before them, which leaves its winner unchanged:
+2^rho masks for rows of rank rho, at most the survivors' coset classes,
+instead of 2^D for D complement vectors, so deep nodes with few survivors
+are cheap.  The span and normalizer complement rows
+(``stabilizer._scan_basis``) are kept once per stabilizer, which sibling
+nodes share, so a node pays only for its own survivors.  Only the root's
+basis is solved from scratch: a child's is derived from its parent's
+(``stabilizer._extended_basis``) in O(D) integer operations for a
+complement of D vectors, already in the key form the scan takes.  The
+scan's counts are kept per Measure node; they are the step statistics'
+splits.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations, product
+from math import comb
 from types import SimpleNamespace
 
 from twep.engine import (
@@ -360,6 +361,35 @@ def mi_sequence_reference(length: int) -> list[int]:
                 hi = mid - 1
         seq.append(lo)
     return seq
+
+
+def count_errors_reference(n: int, t: int, d: int = 2) -> int:
+    """``errorspace.count_errors`` as one sum of binomials per call."""
+    return sum((d * d - 1) ** j * comb(n, j) for j in range(t + 1))
+
+
+def hamming_max_k_reference(n: int, t: int) -> int:
+    """``bounds.hamming_max_k`` by the loop its closed form replaced: the
+    largest k from n down to 1 with 2^k |E| <= 2^n, else -1."""
+    total = count_errors_reference(n, t)
+    for k in range(n, 0, -1):
+        if (total << k) <= (1 << n):
+            return k
+    return -1
+
+
+def bounds_row_reference(n: int, t: int) -> tuple:
+    """One ``bounds_table`` row as a tuple, each bound from its own count of
+    the errors: (n, t, hamming, singleton, gv or None, Theorem 2)."""
+    gv = n - (count_errors_reference(n, 2 * t) - 1).bit_length()
+    return (
+        n,
+        t,
+        hamming_max_k_reference(n, t),
+        n - 4 * t if n >= 4 * t else -1,
+        gv if 2 * t <= n else None,
+        n - (count_errors_reference(n, t) - 1).bit_length() - 2,
+    )
 
 
 def random_normalizer_element(rng: random.Random, s, terms: int) -> PauliVec:

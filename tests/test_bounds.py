@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import pytest
-from prop_checks import mi_sequence_reference
+from prop_checks import (
+    bounds_row_reference,
+    count_errors_reference,
+    mi_sequence_reference,
+)
 
 from twep.bounds import (
     bounds_csv,
@@ -18,7 +23,7 @@ from twep.bounds import (
     singleton_max_k,
     thm2_k,
 )
-from twep.errorspace import count_errors
+from twep.errorspace import count_errors, error_counts
 
 MI_FIRST_TEN = [1, 2, 4, 7, 12, 21, 37, 67, 124, 234]
 
@@ -92,6 +97,39 @@ class TestThm2:
         for n in range(4, 61):
             for t in range(1, n // 4 + 1):
                 assert thm2_k(n, t) >= gv_k(n, t), (n, t)
+
+
+class TestAgainstTheLoops:
+    def test_table_and_bounds_match_the_reference_on_every_small_grid_point(self):
+        """Every 1 <= n <= 120, 0 <= t <= n: the table's rows, and each
+        bound alone, against one binomial sum per count and the k loop."""
+        grid = range(0, 121)
+        rows = bounds_table(list(grid[1:]), list(grid))
+        expected = [
+            bounds_row_reference(n, t) for n in grid[1:] for t in grid[: n + 1]
+        ]
+        assert [astuple(r) for r in rows] == expected
+        for ts in ([1], [3, 2], [5, 0, 5]):
+            narrow = bounds_table(list(grid[1:]), ts)
+            expected_ts = [
+                bounds_row_reference(n, t) for n in grid[1:] for t in ts if t <= n
+            ]
+            assert [astuple(r) for r in narrow] == expected_ts, ts
+        for n, t, hamming, _, gv, thm2 in expected:
+            assert hamming_max_k(n, t) == hamming, (n, t)
+            assert thm2_k(n, t) == thm2, (n, t)
+            if gv is not None:
+                assert gv_k(n, t) == gv, (n, t)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_counts_match_the_binomial_sums(self, d):
+        for n in range(0, 40):
+            counts = error_counts(n, n + 2, d)
+            for t in range(-2, n + 3):
+                expected = count_errors_reference(n, t, d)
+                assert count_errors(n, t, d) == expected, (n, t)
+                if t >= 0:
+                    assert counts[t] == expected, (n, t)
 
 
 class TestMiSequence:

@@ -11,6 +11,12 @@ scan's anticommutation rows, read from the transposed error rows, are
 checked against their per-error definition, and the transpose against a
 per-bit one.
 
+The scan sweeps only the complement vectors whose anticommutation rows are
+independent (``_independent``), so the instances also cover fewer survivors
+than complement vectors at every rank, survivors from two or three cosets
+with repeats, and one-coset survivors whose rows are all 0 or all ones,
+where the scan returns the first complement vector without a sweep.
+
 The scan relies on its complement coming in key form; that property of
 ``_complement_rows`` is checked at every rank, and the child basis that
 synthesis derives from its parent's (``_extended_basis``) against
@@ -146,6 +152,92 @@ def test_edge_nodes(seed):
     _, commuting, anti = _kernels.best_splitter(*_arguments(s, coset))
     assert 0 in (commuting, anti)
     _assert_same(s, coset)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fewer_survivors_than_complement_vectors(n):
+    """At most D - 1 survivors for D complement vectors, so at least one
+    vector's row depends on the others: every rank below n."""
+    rng = random.Random(200 + n)
+    for rank in range(n):
+        s = prop_checks.random_stabilizer(rng, 2, n, rank)
+        size = 2 * (n - rank)
+        for kind in ("random", "syndrome", "coset", "light"):
+            _assert_same(s, _errors(rng, s, kind, rng.randint(1, size - 1)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_survivors_from_a_few_cosets_with_repeats(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(2, 6)
+    s = prop_checks.random_stabilizer(rng, 2, n, rng.randint(0, n - 1))
+    bases = [prop_checks._random_pauli(rng, 2, n) for _ in range(rng.randint(2, 3))]
+    distinct = [
+        multiply(rng.choice(bases), _group_element(rng, s))
+        for _ in range(rng.randint(2, 6))
+    ]
+    errors = [rng.choice(distinct) for _ in range(rng.randint(2, 10))]
+    _assert_same(s, errors)
+
+
+def test_one_coset_rows_all_zero_or_all_ones():
+    """ne >= 2 survivors in one coset: each complement vector's row is 0 or
+    all ones, so nothing separates them and mask 1 wins.  Covered: every row
+    0 (a coset of the stabilizer itself), the first row all ones, and the
+    first row 0 with a later one all ones, where the independent rows are
+    one all-ones row that is not the first vector's."""
+    rng = random.Random(11)
+    seen = {"all zero": 0, "first ones": 0, "first zero, later ones": 0}
+    while min(seen.values()) < 10:
+        n = rng.randint(1, 6)
+        s = prop_checks.random_stabilizer(rng, 2, n, rng.randint(0, n - 1))
+        identity = PauliVec.identity(2, n)
+        base = rng.choice([identity, prop_checks._random_pauli(rng, 2, n)])
+        ne = rng.randint(2, 8)
+        errors = [multiply(base, _group_element(rng, s)) for _ in range(ne)]
+        args = _arguments(s, errors)
+        full = (1 << ne) - 1
+        rows = [prop_checks.anticommuting_reference(k, args[4], n) for k in args[2]]
+        assert set(rows) <= {0, full}
+        if full not in rows:
+            case = "all zero"
+        else:
+            case = "first ones" if rows[0] == full else "first zero, later ones"
+        seen[case] += 1
+        anti = rows[0].bit_count()
+        expected = (args[2][0], ne - anti, anti)
+        assert _kernels.best_splitter(*args) == expected
+        assert prop_checks.best_splitter_reference(*args) == expected
+
+
+def _span(rows: list[int]) -> set[int]:
+    return set(_kernels._combinations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_independent_keeps_the_span_and_drops_only_earlier_combinations(data):
+    """Random rows, with some drawn as combinations of earlier ones: the kept
+    rows are independent and span all rows, each dropped row lies in the
+    span of the kept rows before it, and keys stay with their rows."""
+    width = data.draw(st.integers(1, 10))
+    rows: list[int] = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        if rows and data.draw(st.booleans()):
+            mask = data.draw(st.integers(0, (1 << len(rows)) - 1))
+            rows.append(_kernels._xor_at(mask, rows))
+        else:
+            rows.append(data.draw(st.integers(0, (1 << width) - 1)))
+    keys = [1000 + i for i in range(len(rows))]
+    kept_keys, kept_rows = _kernels._independent(keys, rows)
+    assert kept_rows == [rows[k - 1000] for k in kept_keys]
+    assert kept_keys == sorted(kept_keys)
+    assert len(_span(kept_rows)) == 1 << len(kept_rows)
+    assert _span(kept_rows) == _span(rows)
+    for i, row in enumerate(rows):
+        if keys[i] not in kept_keys:
+            before = [r for k, r in zip(kept_keys, kept_rows) if k < keys[i]]
+            assert row in _span(before)
 
 
 def test_full_rank_has_no_candidate():
