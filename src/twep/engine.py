@@ -171,14 +171,8 @@ class Report:
 
     def to_dict(self) -> dict:
         """Plain-data form, which ``twep greedy`` extends with its step
-        statistics before dumping.  Each distinct transcript is rendered
-        once (every counterexample at one Finish leaf shares its leaf's
-        transcript), so the counterexamples that share a transcript share
-        its record list."""
-        records: dict[int, list[dict]] = {}
-        for c in self.counterexamples:
-            if c.transcript is not None and id(c.transcript) not in records:
-                records[id(c.transcript)] = c.transcript.to_records()
+        statistics before dumping; ``to_text`` writes the same JSON
+        directly."""
         return {
             "errors_checked": self.errors_checked,
             "k_min": self.k_min,
@@ -188,7 +182,7 @@ class Report:
                     "error": render(c.hidden),
                     "reason": c.reason,
                     "transcript": (
-                        records[id(c.transcript)] if c.transcript is not None else None
+                        c.transcript.to_records() if c.transcript is not None else None
                     ),
                 }
                 for c in self.counterexamples

@@ -2,8 +2,12 @@
 
 Each factory returns a strategy whose step function recomputes its branch
 state from the history alone, so replaying a history always reproduces the
-step.  None of the strategies owns a syndrome lookup table: the engine
-corrects with a surviving candidate error.
+step.  The three fixed protocols (six-pair, nine-pair, qutrit-four) are an
+operator tuple plus a discard rule on one schedule, ``_fixed``: measure
+every operator, discard the block the outcomes point to, finish.  The
+hamming family bisects, so it keeps its own step function.  None of the
+strategies owns a syndrome lookup table: the engine corrects with a
+surviving candidate error.
 """
 
 from __future__ import annotations
@@ -25,6 +29,20 @@ def _z_over(n: int, sites) -> PauliVec:
     return _from_planes(2, n, sum(2 << 2 * i for i in sites), 0)
 
 
+def _fixed(d: int, n: int, t: int, k_claimed: int, ops, discard, name: str) -> Strategy:
+    """The strategy that measures the operators ``ops`` in order, then
+    discards the registers ``discard(outcomes)`` returns, then finishes."""
+
+    def next_step(history: History) -> Step:
+        if history.discards:
+            return Finish()
+        if len(history) < len(ops):
+            return Measure(ops[len(history)])
+        return Discard(discard(history.outcomes()))
+
+    return Strategy(d=d, n=n, t=t, k_claimed=k_claimed, next=next_step, name=name)
+
+
 def six_pair() -> Strategy:
     """Detect one error on the first four pairs, keep two pairs either way.
 
@@ -33,19 +51,9 @@ def six_pair() -> Strategy:
     syndrome certifies them, and the two unmeasured-but-unprotected pairs
     are discarded instead.
     """
-    n = 6
-    ops = (_x_over(n, range(4)), _z_over(n, range(4)))
-
-    def next_step(history: History) -> Step:
-        if history.discards:
-            return Finish()
-        if len(history) < 2:
-            return Measure(ops[len(history)])
-        if any(history.outcomes()):
-            return Discard(frozenset(range(4)))
-        return Discard(frozenset({4, 5}))
-
-    return Strategy(d=2, n=n, t=1, k_claimed=2, next=next_step, name="six-pair")
+    ops = (_x_over(6, range(4)), _z_over(6, range(4)))
+    front, back = frozenset(range(4)), frozenset({4, 5})
+    return _fixed(2, 6, 1, 2, ops, lambda o: front if any(o) else back, "six-pair")
 
 
 def hamming_family(m: int) -> Strategy:
@@ -107,26 +115,15 @@ def nine_pair() -> Strategy:
     only on the first five certifies the last four, and all-clear certifies
     the first five.
     """
-    n = 9
     ops = tuple(parse(g + "IIII", 2) for g in FIVE_QUBIT_GENERATORS) + tuple(
         parse("IIIII" + g, 2) for g in FOUR_QUBIT_GENERATORS
     )
+    front, back = frozenset(range(5)), frozenset(range(5, 9))
 
-    def next_step(history: History) -> Step:
-        if history.discards:
-            return Finish()
-        if len(history) < 6:
-            return Measure(ops[len(history)])
-        outcomes = history.outcomes()
-        last_four_hit = any(outcomes[4:6])
-        first_five_hit = any(outcomes[:4])
-        if last_four_hit:
-            return Discard(frozenset({5, 6, 7, 8}))
-        if first_five_hit:
-            return Discard(frozenset({0, 1, 2, 3, 4}))
-        return Discard(frozenset({5, 6, 7, 8}))
+    def discard(outcomes: tuple[int, ...]) -> frozenset[int]:
+        return front if any(outcomes[:4]) and not any(outcomes[4:]) else back
 
-    return Strategy(d=2, n=n, t=2, k_claimed=1, next=next_step, name="nine-pair")
+    return _fixed(2, 9, 2, 1, ops, discard, "nine-pair")
 
 
 def qutrit_four() -> Strategy:
@@ -136,22 +133,12 @@ def qutrit_four() -> Strategy:
     outcome pins the error to those pairs, which are discarded in favor of
     pair 3; all-clear certifies pairs 0-2 and pair 3 is discarded.
     """
-    n = 4
     ops = (
-        PauliVec(3, n, (1, 1, 1, 0), (0, 0, 0, 0)),
-        PauliVec(3, n, (0, 0, 0, 0), (1, 1, 1, 0)),
+        PauliVec(3, 4, (1, 1, 1, 0), (0, 0, 0, 0)),
+        PauliVec(3, 4, (0, 0, 0, 0), (1, 1, 1, 0)),
     )
-
-    def next_step(history: History) -> Step:
-        if history.discards:
-            return Finish()
-        if len(history) < 2:
-            return Measure(ops[len(history)])
-        if any(history.outcomes()):
-            return Discard(frozenset({0, 1, 2}))
-        return Discard(frozenset({3}))
-
-    return Strategy(d=3, n=n, t=1, k_claimed=1, next=next_step, name="qutrit-four")
+    front, back = frozenset({0, 1, 2}), frozenset({3})
+    return _fixed(3, 4, 1, 1, ops, lambda o: front if any(o) else back, "qutrit-four")
 
 
 _FACTORIES: dict[str, Callable[[], Strategy]] = {
@@ -169,7 +156,5 @@ def names() -> list[str]:
 
 
 def get(name: str) -> Strategy:
-    """Look up a protocol by registry name."""
-    if name not in _FACTORIES:
-        raise KeyError(name)
+    """Look up a protocol by registry name; KeyError(name) if unknown."""
     return _FACTORIES[name]()

@@ -239,13 +239,6 @@ def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
     basis vector, in ascending order, that is independent of the span of
     the generators and the vectors kept before it.
 
-    The normalizer has dimension 2n - r for a stabilizer of rank r and
-    contains the stabilizer, so exactly r of its basis vectors are
-    rejected and 2(n - r) kept.  Once r are rejected, the kept ones and
-    the rest already number 2(n - r), so every remaining vector is kept
-    without an insert; once 2(n - r) are kept, the rest would all be
-    rejected, so the loop stops.
-
     The rows come in key form, which ``_kernels.best_splitter`` relies on:
     ascending, each row's highest column (its leading column) zero in every
     other row, and every row zero at each leading column of the span's
@@ -255,14 +248,9 @@ def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
     column.  Free column f is rejected iff some span element leads at f, so
     the rejected free columns are exactly the span's leading columns, and
     the kept vectors are 0 there."""
-    rows, r = s._rows, s.rank
-    basis = _constraint_nullspace(s)
+    rows = s._rows
     complement = []
-    for i, (one, two) in enumerate(basis):
-        if i - len(complement) == r:  # every rejection is done
-            return complement + basis[i:]
-        if len(complement) == 2 * (s.n - r):
-            break
+    for one, two in _constraint_nullspace(s):
         updated = rows.insert(one, two)
         if updated is not None:
             rows = updated

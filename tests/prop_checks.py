@@ -20,10 +20,19 @@ from twep.engine import (
     Report,
     Strategy,
     Transcript,
+    _walk,
     simulate,
 )
 from twep.errorspace import ErrorSet, base_errors, enumerate_errors, filter_by_outcome
-from twep.pauli import PauliVec, canonical_key, multiply, parse, symplectic_product, weight
+from twep.pauli import (
+    PauliVec,
+    canonical_key,
+    multiply,
+    parse,
+    render,
+    symplectic_product,
+    weight,
+)
 from twep.protocols import hamming_family, nine_pair, qutrit_four, six_pair
 from twep.stabilizer import SizeLimitError, StabilizerSet, normalizer_complement_basis
 from twep.synth import split_counts
@@ -626,6 +635,45 @@ def report_text_reference(report: Report) -> str:
     """What ``Report.to_text`` writes directly: the plain-data form through
     ``json.dumps`` with two-space indentation, plus a newline."""
     return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+def recorded_tree(strategy: Strategy) -> dict:
+    """The strategy's outcome tree as ``engine._walk`` consults it: each
+    node's (history entries, discards) to the step the strategy answers
+    there.  The discards are part of the key because a discard completion
+    can add no operator."""
+    tree = {}
+
+    def choose(history: History, s, reached):
+        step = tree[history.entries, history.discards] = strategy.next(history)
+        return step
+
+    _walk(strategy, choose)
+    return tree
+
+
+def tree_text(tree: dict) -> str:
+    """A tree keyed as ``recorded_tree``'s, one sorted line per node: its
+    outcome path (``-`` for the root), then ``/`` and the registers of each
+    recorded discard, then the operator it measures, ``discard`` and the
+    registers it drops, or ``finish``."""
+
+    def registers(regs) -> str:
+        return ",".join(str(r) for r in sorted(regs))
+
+    def action(step) -> str:
+        if isinstance(step, Measure):
+            return render(step.op)
+        if isinstance(step, Discard):
+            return f"discard {registers(step.registers)}"
+        return "finish"
+
+    lines = sorted(
+        f"{''.join(str(o) for _, o in entries) or '-'}"
+        f"{''.join('/' + registers(regs) for regs in discards)} {action(step)}"
+        for (entries, discards), step in tree.items()
+    )
+    return "\n".join(lines) + "\n"
 
 
 def assert_same_report(walked: Report, reference: Report) -> None:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+from prop_checks import recorded_tree, tree_text
 
 from twep.bounds import hamming_max_k, singleton_max_k
 from twep.engine import simulate, verify
@@ -16,6 +19,8 @@ from twep.protocols import (
     qutrit_four,
     six_pair,
 )
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 
 class TestSixPair:
@@ -161,5 +166,13 @@ class TestRegistry:
         assert strategy.name == "nine-pair"
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as raised:
             get("no-such")
+        assert raised.value.args == ("no-such",)
+
+    @pytest.mark.parametrize("name", names())
+    def test_tree_matches_its_golden_fixture(self, name):
+        """Which operator every node measures and which registers it
+        discards, not just the passing report."""
+        golden = GOLDEN / f"protocol_tree_{name}.txt"
+        assert tree_text(recorded_tree(get(name))) == golden.read_text()

@@ -8,7 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from prop_checks import average_separated_pairs, random_stabilizer
+from prop_checks import average_separated_pairs, random_stabilizer, tree_text
 
 from twep.bounds import mi_sequence
 from twep.engine import Finish, Measure, simulate
@@ -38,18 +38,6 @@ from twep.synth import (
 )
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
-
-
-def tree_text(n: int, t: int) -> str:
-    """The greedy decision tree, one sorted line per node: its outcome
-    path (``-`` for the root), then the operator it measures or
-    ``finish``."""
-    lines = sorted(
-        f"{''.join(str(o) for _, o in entries) or '-'} "
-        f"{render(step.op) if isinstance(step, Measure) else 'finish'}"
-        for entries, step in _synthesize(n, t)[1].items()
-    )
-    return "\n".join(lines) + "\n"
 
 
 class TestSplitCounts:
@@ -170,7 +158,8 @@ class TestGreedyStrategy:
     def test_tree_matches_its_golden_fixture(self, n, t):
         """Every node's operator, not just the summary the CLI prints."""
         golden = GOLDEN / f"greedy_tree_n{n}_t{t}.txt"
-        assert tree_text(n, t) == golden.read_text()
+        tree = {(entries, ()): step for entries, step in _synthesize(n, t)[1].items()}
+        assert tree_text(tree) == golden.read_text()
 
     @pytest.mark.parametrize("n, t", [(5, 1), (6, 1), (7, 1)])
     def test_verifies_within_step_bound(self, n, t):
