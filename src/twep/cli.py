@@ -19,7 +19,7 @@ from . import protocols, synth
 from .engine import Strategy
 from .engine import verify as engine_verify
 from .engine import simulate as engine_simulate
-from .errorspace import check_size
+from .errorspace import MAX_WALK_BYTES, check_size
 from .pauli import PauliSyntaxError, parse, weight
 from .stabilizer import SizeLimitError
 
@@ -63,17 +63,59 @@ def _get_protocol(name: str, m: int | None = None) -> Strategy:
         )
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError
-            return list(range(lo_i, hi_i + 1))
-        return [int(text)]
+            return range(lo_i, hi_i + 1)
+        return range(int(text), int(text) + 1)
     except ValueError:
         _fail(f"malformed range {text!r}; expected N or LO..HI", 2)
+
+
+# The table commands build their whole output before printing it.  Peak RSS
+# (VmHWM) above an interpreter that has imported twep, Python 3.11, in the
+# larger of the two formats: rates 1,296 bytes a point at 10^5 points
+# (JSON); bounds 1,677 bytes a row on n = 1..40,000 and 2,861 on n near
+# 10^100 (JSON), so about 12.5 more per digit of n, plus the error counts
+# of the widest n; mi 0.53 bytes per count^2 at counts 8,000 and 12,000
+# (CSV), since m_i has about i bits.  The estimates below round these up
+# and share the walk's budget.
+_POINT_BYTES = 1408
+_ROW_BYTES = 1792
+
+
+def _check_table(estimate: int, what: str) -> None:
+    if estimate > MAX_WALK_BYTES:
+        limit = MAX_WALK_BYTES >> 20
+        _fail(f"{what} needs about {estimate >> 20} MB; the limit is {limit} MB", 2)
+
+
+def _grid(n_range: str, t_range: str) -> tuple[range, range, int]:
+    """The n and t ranges without the values that hold no row (t outside
+    0..max n, n below the least t), and the number of rows (n, t) with
+    0 <= t <= n, counted from the ends, since a range can be too long for
+    len(): each n up to the last t has n - ts[0] + 1 rows, each n above it
+    one per t."""
+    ns, ts = _parse_range(n_range), _parse_range(t_range)
+    ts = range(max(ts.start, 0), min(ts.stop, ns.stop))
+    ns = range(max(ns.start, ts.start), ns.stop)
+    a, b, first = ts.start, ts.stop - 1, ns.start
+    if b < a:
+        return ns, ts, 0
+    low = max(0, b - first + 1) * (first + b - 2 * a + 2) // 2
+    return ns, ts, low + (ns.stop - max(first, b + 1)) * (b - a + 1)
+
+
+def _counts_bytes(n: int, top: int) -> int:
+    """A bound on the bytes of ``error_counts(n, top)``, the widest n's: a
+    count sums top + 1 terms C(n, w) 3^w <= (3en / w)^w <= (9n / top)^top,
+    and is below 4^n."""
+    bits = top * (-(-9 * n // max(top, 1))).bit_length() + (top + 1).bit_length()
+    return (top + 1) * (min(bits, 2 * n + 1) // 7 + 40)
 
 
 @click.group()
@@ -159,9 +201,14 @@ def greedy(n: int, t: int):
 @click.option("--output", type=click.Path(), default=None)
 def bounds(n_range: str, t_range: str, fmt: str, output: str | None):
     """Tabulate the coding bounds over a parameter grid."""
-    rows = bounds_mod.bounds_table(_parse_range(n_range), _parse_range(t_range))
-    if not rows:
+    ns, ts, count = _grid(n_range, t_range)
+    if not count:
         _fail("empty grid: no (n, t) with 0 <= t <= n", 2)
+    n = ns[-1]
+    estimate = count * (_ROW_BYTES + 5 * n.bit_length())
+    estimate += _counts_bytes(n, min(n, 2 * ts[-1]))
+    _check_table(estimate, f"bounds over {count} rows")
+    rows = bounds_mod.bounds_table(ns, ts)
     if fmt == "csv":
         _emit(bounds_mod.bounds_csv(rows), output)
     else:
@@ -176,6 +223,7 @@ def rates(points: int, fmt: str, output: str | None):
     """Sample the asymptotic rate curves."""
     if points < 2:
         _fail("--points must be at least 2", 2)
+    _check_table(points * _POINT_BYTES, f"rates over {points} points")
     table = bounds_mod.rate_table(points)
     if fmt == "csv":
         _emit(bounds_mod.rates_csv(table), output)
@@ -191,12 +239,21 @@ def mi(count: int, fmt: str, output: str | None):
     """Print the greedy shrinkage threshold sequence."""
     if count < 1:
         _fail("--count must be at least 1", 2)
+    _check_table(count * count * 9 // 16, f"mi over {count} terms")
     seq = bounds_mod.mi_sequence(count)
-    if fmt == "csv":
-        lines = ["i,mi"] + [f"{i},{v}" for i, v in enumerate(seq)]
-        _emit("\n".join(lines) + "\n", output)
-    else:
-        _emit(json.dumps(seq) + "\n", output)
+    # m_i has about i bits; print every digit, past Python's default limit
+    # of 4,300 on converting an int to text.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "csv":
+            lines = ["i,mi"] + [f"{i},{v}" for i, v in enumerate(seq)]
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps(seq) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(text, output)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """The built-in two-way purification protocols, as Strategy values.
 
-Each factory returns a strategy whose step function recomputes its branch
-state from the history alone, so replaying a history always reproduces the
-step.  The three fixed protocols (six-pair, nine-pair, qutrit-four) are an
-operator tuple plus a discard rule on one schedule, ``_fixed``: measure
-every operator, discard the block the outcomes point to, finish.  The
-hamming family bisects, so it keeps its own step function.  None of the
-strategies owns a syndrome lookup table: the engine corrects with a
-surviving candidate error.
+Every protocol is a plan on one schedule, ``_schedule``: the plan maps the
+outcomes measured so far to the next step, and the strategy finishes once
+its discard has run.  A plan reads nothing but the outcomes, so replaying a
+history always reproduces the step.  The fixed protocols (six-pair,
+nine-pair, qutrit-four) share the plan ``_fixed``: measure an operator
+tuple, then discard the block the outcomes point to.  The hamming family's
+plan bisects.  None of the strategies owns a syndrome lookup table: the
+engine corrects with a surviving candidate error.
 """
 
 from __future__ import annotations
@@ -29,18 +29,22 @@ def _z_over(n: int, sites) -> PauliVec:
     return _from_planes(2, n, sum(2 << 2 * i for i in sites), 0)
 
 
-def _fixed(d: int, n: int, t: int, k_claimed: int, ops, discard, name: str) -> Strategy:
-    """The strategy that measures the operators ``ops`` in order, then
-    discards the registers ``discard(outcomes)`` returns, then finishes."""
+def _schedule(d: int, n: int, t: int, k_claimed: int, plan, name: str) -> Strategy:
+    """The strategy that takes each step from ``plan(outcomes)``, a Measure,
+    Discard or Finish, until a discard has run, and then finishes."""
 
     def next_step(history: History) -> Step:
         if history.discards:
             return Finish()
-        if len(history) < len(ops):
-            return Measure(ops[len(history)])
-        return Discard(discard(history.outcomes()))
+        return plan(history.outcomes())
 
     return Strategy(d=d, n=n, t=t, k_claimed=k_claimed, next=next_step, name=name)
+
+
+def _fixed(ops, discard):
+    """The plan that measures ``ops`` in order, then discards the registers
+    ``discard(outcomes)`` returns."""
+    return lambda o: Measure(ops[len(o)]) if len(o) < len(ops) else Discard(discard(o))
 
 
 def six_pair() -> Strategy:
@@ -53,7 +57,8 @@ def six_pair() -> Strategy:
     """
     ops = (_x_over(6, range(4)), _z_over(6, range(4)))
     front, back = frozenset(range(4)), frozenset({4, 5})
-    return _fixed(2, 6, 1, 2, ops, lambda o: front if any(o) else back, "six-pair")
+    plan = _fixed(ops, lambda o: front if any(o) else back)
+    return _schedule(2, 6, 1, 2, plan, "six-pair")
 
 
 def hamming_family(m: int) -> Strategy:
@@ -67,6 +72,8 @@ def hamming_family(m: int) -> Strategy:
     classical Hamming parity checks, measured as Z products over the pairs
     whose index has a 0 in the corresponding bit, identify the position
     outright; the all-ones index is absent, so all-clear means no error.
+    The plan replays the bisection on the interval's two ends, so a step
+    costs one pass over the outcomes plus the operator it returns.
     """
     if m < 3:
         raise ValueError("hamming_family needs m >= 3 (smaller m certifies 0 pairs)")
@@ -77,33 +84,22 @@ def hamming_family(m: int) -> Strategy:
         for i in range(m)
     )
 
-    def next_step(history: History) -> Step:
-        if history.discards:
-            return Finish()
-        if len(history) == 0:
+    def plan(outcomes: tuple[int, ...]) -> Step:
+        if not outcomes:
             return Measure(all_x)
-        if history.entries[0][1]:
-            # Bisection branch: replay the interval shrinking.
-            candidates = list(range(n))
-            for _, outcome in history.entries[1:]:
-                half = (len(candidates) + 1) // 2
-                candidates = candidates[:half] if outcome else candidates[half:]
-            if len(history) - 1 < m - 1:
-                half = (len(candidates) + 1) // 2
-                return Measure(_x_over(n, candidates[:half]))
-            return Discard(frozenset(candidates))
-        if len(history) - 1 < m:
-            return Measure(z_checks[len(history) - 1])
-        return Finish()
+        if not outcomes[0]:
+            checks = len(outcomes) - 1
+            return Measure(z_checks[checks]) if checks < m else Finish()
+        # Bisection branch: the candidates are the pairs lo..hi-1.
+        lo, hi = 0, n
+        for outcome in outcomes[1:]:
+            half = (lo + hi + 1) // 2
+            lo, hi = (lo, half) if outcome else (half, hi)
+        if len(outcomes) < m:
+            return Measure(_x_over(n, range(lo, (lo + hi + 1) // 2)))
+        return Discard(frozenset(range(lo, hi)))
 
-    return Strategy(
-        d=2,
-        n=n,
-        t=1,
-        k_claimed=2**m - m - 2,
-        next=next_step,
-        name=f"hamming-m{m}",
-    )
+    return _schedule(2, n, 1, 2**m - m - 2, plan, f"hamming-m{m}")
 
 
 def nine_pair() -> Strategy:
@@ -123,7 +119,7 @@ def nine_pair() -> Strategy:
     def discard(outcomes: tuple[int, ...]) -> frozenset[int]:
         return front if any(outcomes[:4]) and not any(outcomes[4:]) else back
 
-    return _fixed(2, 9, 2, 1, ops, discard, "nine-pair")
+    return _schedule(2, 9, 2, 1, _fixed(ops, discard), "nine-pair")
 
 
 def qutrit_four() -> Strategy:
@@ -138,7 +134,8 @@ def qutrit_four() -> Strategy:
         PauliVec(3, 4, (0, 0, 0, 0), (1, 1, 1, 0)),
     )
     front, back = frozenset({0, 1, 2}), frozenset({3})
-    return _fixed(3, 4, 1, 1, ops, lambda o: front if any(o) else back, "qutrit-four")
+    plan = _fixed(ops, lambda o: front if any(o) else back)
+    return _schedule(3, 4, 1, 1, plan, "qutrit-four")
 
 
 _FACTORIES: dict[str, Callable[[], Strategy]] = {

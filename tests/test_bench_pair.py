@@ -4,6 +4,7 @@ numbers and files; no benchmark runs."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,39 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (tmp_path / "tests" / "test_a.py").write_text("not counted\n")
     assert bench_pair.src_lines(tmp_path) == 5
     assert bench_pair.src_lines(tmp_path / "tests") == 0
+
+
+def test_the_record_keeps_each_runs_wall_times_in_pair_order(tmp_path, monkeypatch):
+    """Every run's scaled values beside its unscaled wall times, pair i at
+    index i of each side; the record names no kernel backend.  The runs
+    and the git calls are stubbed, so no benchmark runs."""
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        side = tree.name
+        calls.append((side, seed, trace))
+        scaled = seed + (0.5 if side == "change" else 0.0)
+        values = {name: scaled for name in bench_pair.METRICS}
+        return values, {"wall": {"batch_s": 10 * scaled}, "kernel_backend": "python"}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "git", lambda *args, binary=False: "")
+    monkeypatch.setattr(bench_pair, "export_parent", lambda ref, target: None)
+    monkeypatch.setattr(bench_pair, "export_working_tree", lambda target: None)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1-3", "--out", str(out)]
+    assert bench_pair.main(argv) == 0
+
+    # Pair 1 runs the change first.
+    assert [c[:2] for c in calls if not c[2]] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+        ("parent", 3), ("change", 3)]
+    record = json.loads(out.read_text())
+    assert "kernel_backend" not in record
+    entry = record["end_to_end"]["w"]
+    assert entry["batch_s"]["parent"]["median"] == 2
+    for side, offset in (("parent", 0.0), ("change", 0.5)):
+        assert [run["wall"] for run in entry["runs"][side]] == [
+            {"batch_s": 10 * (seed + offset)} for seed in (1, 2, 3)]
+        assert [run["values"]["batch_s"] for run in entry["runs"][side]] == [
+            seed + offset for seed in (1, 2, 3)]

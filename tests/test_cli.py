@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from twep.cli import main
+from twep.bounds import bounds_table
+from twep.cli import _grid, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -306,6 +309,64 @@ class TestSizeGates:
         assert result.stdout == ""
         assert "No such option '--cap'" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["rates", "--points", "95326"], "rates over 95326 points needs about 128 MB"),
+            (["rates", "--points", str(10**12)], "the limit is 128 MB"),
+            (["mi", "--count", "15447"], "mi over 15447 terms needs about 128 MB"),
+            (["mi", "--count", str(10**12)], "the limit is 128 MB"),
+            (["bounds", "--n", "1..36000", "--t", "0..1"], "bounds over 72000 rows"),
+            (["bounds", "--n", f"1..{10**9}", "--t", f"0..{10**9}"], "500000001500000000 rows"),
+            (["bounds", "--n", str(10**6), "--t", "0..20000"], "20001 rows needs about 1781 MB"),
+        ],
+        ids=["rates", "rates-far", "mi", "mi-far", "bounds", "bounds-far", "bounds-counts"],
+    )
+    def test_a_table_past_its_limit_exits_two_before_building(self, runner, args, message):
+        """The whole table is built before printing, so its estimated peak
+        memory is gated like a walk's."""
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
+
+    def test_a_wide_t_range_on_small_n_is_clipped_before_building(self, runner):
+        """Only t <= max n holds a row, so a billion t values cost nothing."""
+        wide = runner.invoke(main, ["bounds", "--n", "1..3", "--t", f"-{10**9}..{10**9}"])
+        narrow = runner.invoke(main, ["bounds", "--n", "1..3", "--t", "0..3"])
+        assert wide.exit_code == narrow.exit_code == 0
+        assert wide.stdout == narrow.stdout
+
+    def test_grid_counts_the_rows_bounds_table_builds(self):
+        ends = range(-3, 7)
+        for n_lo, n_hi, t_lo, t_hi in product(ends, ends, ends, ends):
+            if n_hi < n_lo or t_hi < t_lo:
+                continue
+            n_range, t_range = f"{n_lo}..{n_hi}", f"{t_lo}..{t_hi}"
+            ns, ts, count = _grid(n_range, t_range)
+            rows = bounds_table(list(range(n_lo, n_hi + 1)), list(range(t_lo, t_hi + 1)))
+            assert count == len(rows), (n_range, t_range)
+            if count:
+                assert bounds_table(ns, ts) == rows, (n_range, t_range)
+
+    def test_mi_prints_terms_past_the_int_digit_limit(self, runner):
+        """m_i has about i bits, and Python refuses by default to convert an
+        int of more than 4,300 digits to text; mi lifts that for its output
+        and restores the setting."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = runner.invoke(main, ["mi", "--count", "2200", "--format", "csv"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0
+        last = result.stdout.splitlines()[-1].split(",")[1]
+        assert len(last) > 640
+
     @pytest.mark.parametrize("n, t", [(0, 0), (-1, 0), (3, 5), (3, -1)])
     def test_bad_greedy_parameters_exit_two(self, runner, n, t):
         result = runner.invoke(main, ["greedy", "--n", str(n), "--t", str(t)])
@@ -319,6 +380,7 @@ _RANGES = st.one_of(
     st.tuples(st.integers(-3, 8), st.integers(-3, 8)).map(lambda r: f"{r[0]}..{r[1]}"),
 )
 _FORMATS = st.sampled_from([[], ["--format", "csv"]])
+_FAR = st.integers(10**6, 10**18)
 _INVOCATIONS = st.one_of(
     st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
         lambda nt: ["greedy", "--n", str(nt[0]), "--t", str(nt[1])]
@@ -334,6 +396,16 @@ _INVOCATIONS = st.one_of(
     ),
     st.one_of(st.integers(-1, 6), st.integers(14, 64)).map(
         lambda m: ["verify", "hamming", "--m", str(m)]
+    ),
+    # Far past each table's size limit, and a t range far past small n.
+    st.tuples(st.sampled_from(["rates --points", "mi --count"]), _FAR, _FORMATS).map(
+        lambda a: [*a[0].split(), str(a[1]), *a[2]]
+    ),
+    st.tuples(_FAR, _FORMATS).map(
+        lambda a: ["bounds", "--n", f"1..{a[0]}", "--t", f"0..{a[0]}", *a[1]]
+    ),
+    st.tuples(_FAR, _FAR).map(
+        lambda a: ["bounds", "--n", f"{-a[0]}..4", "--t", f"{-a[1]}..{a[1]}"]
     ),
 )
 

@@ -21,6 +21,7 @@ from twep.protocols import (
 )
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+WIDE_HAMMING = {"hamming-m6": 6, "hamming-m7": 7}
 
 
 class TestSixPair:
@@ -170,9 +171,12 @@ class TestRegistry:
             get("no-such")
         assert raised.value.args == ("no-such",)
 
-    @pytest.mark.parametrize("name", names())
+    @pytest.mark.parametrize("name", names() + list(WIDE_HAMMING))
     def test_tree_matches_its_golden_fixture(self, name):
         """Which operator every node measures and which registers it
-        discards, not just the passing report."""
+        discards, not just the passing report.  Hamming m = 6 and 7 are the
+        benchmark's widest bisections outside the registry."""
+        wide = WIDE_HAMMING.get(name)
+        strategy = get(name) if wide is None else hamming_family(wide)
         golden = GOLDEN / f"protocol_tree_{name}.txt"
-        assert tree_text(recorded_tree(get(name))) == golden.read_text()
+        assert tree_text(recorded_tree(strategy)) == golden.read_text()

@@ -29,8 +29,12 @@ from twep.engine import (
 )
 from twep.errorspace import count_errors, enumerate_errors, filter_by_outcome
 from twep.pauli import PauliVec, canonical_key, multiply, parse, symplectic_product
-from twep.protocols import get, hamming_family, names, nine_pair
-from twep.stabilizer import StabilizerSet, normalizer_complement_basis
+from twep.protocols import FIVE_QUBIT_GENERATORS, get, hamming_family, names, nine_pair
+from twep.stabilizer import (
+    StabilizerSet,
+    min_normalizer_weight,
+    normalizer_complement_basis,
+)
 from twep.synth import greedy_step_stats, greedy_strategy
 
 
@@ -440,3 +444,52 @@ def random_adaptive(d: int, n: int, t: int, k_claimed: int, seed: int) -> Strate
 def test_random_adaptive_strategies(d, n, t, k_claimed, seed):
     assume(t <= n and count_errors(n, t, d) <= 120)
     assert_walk_matches_oracle(random_adaptive(d, n, t, k_claimed, seed))
+
+
+STEANE_GENERATORS = (
+    "IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ",
+)
+SHOR_GENERATORS = (
+    "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+    "XXXXXXIII", "IIIXXXXXX",
+)
+
+
+def test_one_way_verdicts_match_the_distance_scan():
+    """A strategy that measures a stabilizer's generators and finishes
+    corrects t errors iff no operator of weight <= 2t commutes with the
+    stabilizer without lying in it, and then certifies n - rank pairs.  The
+    walk and the support search share only ``Echelon``, so each checks the
+    other, at every t <= min(n, 3), on seeded qubit (n = 3..9) and qutrit
+    (n = 2..6) stabilizers of every rank 1..n-1, three per shape, and on
+    three distance-3 codes.  Every one of these enumerations fits
+    ``check_size``."""
+    rng = random.Random(2117)
+    stabilizers = [
+        prop_checks.random_stabilizer(rng, d, n, rank)
+        for d, sizes in ((2, range(3, 10)), (3, range(2, 7)))
+        for n in sizes
+        for rank in range(1, n)
+        for _ in range(3)
+    ]
+    # Random ones rarely reach distance 3: add five-qubit, Steane and Shor.
+    for gens in (FIVE_QUBIT_GENERATORS, STEANE_GENERATORS, SHOR_GENERATORS):
+        stabilizers.append(StabilizerSet(2, len(gens[0]), [parse(g, 2) for g in gens]))
+    verdicts = Counter()
+    for s in stabilizers:
+        d, n, rank = s.d, s.n, s.rank
+        distance = min_normalizer_weight(s)
+        steps = [Measure(g) for g in s.gens]
+        for t in range(min(n, 3) + 1):
+            report = verify(scripted(d, n, t, steps, n - rank))
+            case = (d, n, rank, t, distance)
+            assert report.passed == (distance >= 2 * t + 1), case
+            assert not report.passed or report.k_min == n - rank, case
+            verdicts[t, report.passed] += 1
+    assert verdicts == {
+        (0, True): 153,
+        (1, True): 5,
+        (1, False): 148,
+        (2, False): 153,
+        (3, False): 150,
+    }

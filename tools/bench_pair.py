@@ -27,6 +27,11 @@ workload, on the first seed; ``per_layer`` holds each of its metrics as
 the parent's value, the change's value and ``relative_change``.
 ``src_lines`` holds the line count of ``src/twep/*.py`` in each tree and
 their difference, the change's net line count.
+
+Each workload's ``runs`` keeps every run, pair i at index i of each side:
+its metric values (times scaled, as summarized) and ``wall``, the same
+times unscaled from the run's metadata.  A run far off its side's others
+can then be told from an artifact of the scaling.
 """
 
 from __future__ import annotations
@@ -181,7 +186,6 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain"))
     runs = {w: {"parent": [], "change": []} for w in args.workload}
     traced = {w: {} for w in args.workload}
-    meta = {}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
         export_parent(parent_commit, trees["parent"])
@@ -194,7 +198,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
                     values, meta = run_once(trees[side], workload, seed, args.seconds)
-                    runs[workload][side].append(values)
+                    runs[workload][side].append({"values": values, "wall": meta["wall"]})
                     print(f"pair {pair} {workload} seed {seed} {side}: "
                           f"batch_s {values['batch_s']:.4f}", file=sys.stderr)
                 pair += 1
@@ -208,8 +212,9 @@ def main(argv=None) -> int:
     for workload, sides in runs.items():
         entry = {"seeds": args.seeds}
         for metric in METRICS:
-            entry[metric] = summarize(*([run[metric] for run in sides[side]]
+            entry[metric] = summarize(*([run["values"][metric] for run in sides[side]]
                                         for side in ("parent", "change")))
+        entry["runs"] = sides
         end_to_end[workload] = entry
     claimed = None
     if args.claim:
@@ -220,7 +225,6 @@ def main(argv=None) -> int:
         "change": args.note,
         "machine": machine(),
         "python": platform.python_version(),
-        "kernel_backend": meta.get("kernel_backend"),
         "parent_commit": parent_commit,
         "change_commit": f"{head} plus uncommitted changes" if dirty else head,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
