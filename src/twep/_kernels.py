@@ -5,9 +5,15 @@ Row reduction works on vectors packed into bit-planes, as operators are
 (see ``pauli``): a vector over Z_d is a pair of integers (one, two), bit c
 of ``one`` (``two``) set iff column c holds 1 (2); for d=2 ``two`` is 0.
 An operator's planes are its row, x[i] at column 2i and z[i] at 2i + 1.
-One reducer, ``Echelon``, serves both dimensions: for d=2 eliminating a
-column is one XOR, for d=3 one two-plane add.  The minimum-weight search
-reduces its syndrome rows with it.
+Both reducers serve both dimensions: for d=2 eliminating a column is one
+XOR, for d=3 one two-plane add.  ``Echelon`` keeps its rows fully reduced,
+pivoted on their lowest columns, as immutable states: the walk's cosets,
+the normalizer constraints and discard completion use it.  The pivot
+table (``pivot_store``) is one mutable dict of rows pivoted on their
+highest columns and never back-substituted, so a row is undone by
+deleting its pivot: the distance scan uses it, to read the span's leading
+columns off the generators (``stabilizer._complement_rows``) and for the
+support search, which adds and undoes a site's syndrome rows.
 
 Both scans take a stabilizer's basis the same way, as
 ``stabilizer._scan_basis`` builds it: the generators (the span) and the
@@ -66,12 +72,15 @@ def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
 
 
 class Echelon:
-    """Packed rows over Z_d in reduced row echelon form.
+    """Packed rows over Z_d in reduced row echelon form, for the walk's
+    coset residues, the normalizer constraints and discard completion.
 
     Each row is a (pivot bit, one, two) triple: it holds 1 at its pivot,
     its lowest nonzero column, and 0 at every other row's pivot, so a
-    vector is reduced by clearing each pivot column it has, in any order.
-    A state is immutable; ``insert`` returns a new one.
+    vector is reduced by clearing each pivot column it has, in any order,
+    and its residue is unique.  A state is immutable; ``insert`` returns a
+    new one.  The distance scan, which needs no residue, uses the cheaper
+    ``pivot_store`` instead.
     """
 
     __slots__ = ("d", "rows")
@@ -129,6 +138,41 @@ def _columns(planes: list[int], n: int) -> list[int]:
     return [int(numerals[k::n] or "0", 2) for k in range(n - 1, -1, -1)]
 
 
+def pivot_store(table: dict[int, tuple[int, int]], d: int, one: int, two: int) -> int:
+    """Reduce the packed vector over Z_d by the pivot table and store what
+    is left; return the pivot of the stored row, or 0 if nothing is left.
+
+    The table maps a pivot to one row: the pivot is the row's highest
+    nonzero column plus one (its ``bit_length``), and the row holds 1 there.
+    Reducing clears the vector's highest column while a row is stored under
+    it, so the vector's new highest column is always lower.  Storing never
+    changes another row, so deleting the pivots one returned restores the
+    table as it was before."""
+    if d == 2:
+        while one:
+            top = one.bit_length()
+            row = table.get(top)
+            if row is None:
+                table[top] = (one, 0)
+                return top
+            one ^= row[0]
+        return 0
+    while one | two:
+        top = (one | two).bit_length()
+        row = table.get(top)
+        if row is None:
+            if two >> top - 1:  # scale by 2 (negate) so that the pivot holds 1
+                one, two = two, one
+            table[top] = (one, two)
+            return top
+        r1, r2 = row
+        if one >> top - 1:  # subtract the row once: add its negation
+            one, two = _add3(one, two, r2, r1)
+        else:  # subtract it twice: add it once
+            one, two = _add3(one, two, r1, r2)
+    return 0
+
+
 def min_weight_excluding_span(
     span_one: list[int],
     span_two: list[int],
@@ -149,38 +193,49 @@ def min_weight_excluding_span(
     span and nonzero syndrome against the complement, since the stabilizer
     is the normalizer's symplectic complement.  Syndromes are linear in an
     operator's site components, so a support carries such an operator iff
-    the echelon form of its sites' syndrome rows, span columns lowest, has
-    a pivot among the complement columns.  Supports are searched in order
-    of size, depth first, so each support extends its prefix's echelon
-    form by its last site's two rows.
+    some combination of its sites' syndrome rows is zero at the span
+    columns and not zero.  The complement's columns are laid below the
+    span's, so that combination exists iff a highest-column echelon form of
+    the rows (``pivot_store``) has a pivot below the span's columns.
+
+    Supports are searched in order of size w, depth first, in one shared
+    pivot table: a site adds its two syndrome rows and deletes their pivots
+    on the way back.  A new pivot below the span's columns is a hit.  Only
+    the new pivots need the test: the table's other rows belong to a
+    smaller support, which the search at a smaller w already rejected.
     """
     if not comp_one:
         raise ValueError("complement basis is empty: nothing outside the span")
-    # Column c of the basis rows, bit j for basis operator j, per plane.
-    ones = _columns(span_one + comp_one, 2 * n)
-    twos = _columns(span_two + comp_two, 2 * n) if d == 3 else [0] * (2 * n)
+    # Column c of the basis rows, bit j for basis operator j, per plane: the
+    # complement's operators first, so their bits lie below the span's.
+    ones = _columns(comp_one + span_one, 2 * n)
+    twos = _columns(comp_two + span_two, 2 * n) if d == 3 else [0] * (2 * n)
     # Syndrome rows of X and Z on site i: <X_i, b> = z_b[i], column 2i + 1,
     # and <Z_i, b> = -x_b[i], column 2i, taken as x_b[i], since scaling a
     # row leaves the row space as it is.
     site_rows = list(zip(ones[1::2], twos[1::2], ones[::2], twos[::2]))
-    span = (1 << len(span_one)) - 1
+    low = len(comp_one)  # a pivot up to this lies among the complement columns
+    table: dict[int, tuple[int, int]] = {}
 
-    def found(start: int, left: int, rows: Echelon) -> bool:
-        """Some support of ``left`` more sites from ``start`` on completes
-        one with a pivot among the complement columns."""
+    def found(start: int, left: int) -> bool:
+        """Some support of ``left`` more sites from ``start`` on, added to
+        the table, completes one with a pivot among the complement columns."""
         for i in range(start, n - left + 1):
             xz1, xz2, zx1, zx2 = site_rows[i]
-            grown = rows.insert(xz1, xz2) or rows
-            grown = grown.insert(zx1, zx2) or grown
-            if left > 1:
-                if found(i + 1, left - 1, grown):
-                    return True
-            elif any(pivot & ~span for pivot, _, _ in grown.rows):
+            a = pivot_store(table, d, xz1, xz2)
+            b = pivot_store(table, d, zx1, zx2)
+            if 0 < a <= low or 0 < b <= low:
                 return True
+            if left > 1 and found(i + 1, left - 1):
+                return True
+            if a:
+                del table[a]
+            if b:
+                del table[b]
         return False
 
     for w in range(1, n):
-        if found(0, w, Echelon(d)):
+        if found(0, w):
             return w
     # The scanned set is nonempty and nothing is heavier than n.
     return n

@@ -239,23 +239,27 @@ def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
     basis vector, in ascending order, that is independent of the span of
     the generators and the vectors kept before it.
 
+    A normalizer basis vector's leading (highest) column is its free
+    column, where the other basis vectors are 0, so a combination leads at
+    its highest free column.  Free column f is rejected iff some span
+    element leads at f, so the rejected free columns are exactly the span's
+    leading columns.  Those are the pivots of any highest-column echelon
+    form of the generators, which ``_kernels.pivot_store`` builds; the
+    vectors kept are the ones whose leading column is not among them.
+
     The rows come in key form, which ``_kernels.best_splitter`` relies on:
-    ascending, each row's highest column (its leading column) zero in every
-    other row, and every row zero at each leading column of the span's
-    fully reduced basis (leading columns highest, as keys compare).  A
-    normalizer basis vector's leading column is its free column, where the
-    other basis vectors are 0, so a combination leads at its highest free
-    column.  Free column f is rejected iff some span element leads at f, so
-    the rejected free columns are exactly the span's leading columns, and
-    the kept vectors are 0 there."""
-    rows = s._rows
-    complement = []
-    for one, two in _constraint_nullspace(s):
-        updated = rows.insert(one, two)
-        if updated is not None:
-            rows = updated
-            complement.append((one, two))
-    return complement
+    ascending, each row's leading column zero in every other row, and every
+    row zero at each leading column of the span's fully reduced basis
+    (leading columns highest, as keys compare), since the kept vectors are
+    0 at the rejected free columns."""
+    leading: dict[int, tuple[int, int]] = {}
+    for g in s.gens:
+        _kernels.pivot_store(leading, s.d, g.one, g.two)
+    return [
+        (one, two)
+        for one, two in _constraint_nullspace(s)
+        if (one | two).bit_length() not in leading
+    ]
 
 
 def _extended_basis(basis: tuple, s: StabilizerSet) -> tuple:

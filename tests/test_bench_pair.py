@@ -59,20 +59,36 @@ def test_seed_ranges():
     assert bench_pair.parse_seeds("7") == [7]
 
 
-def test_layer_changes_of_one_traced_run_per_side():
-    parent = {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.5,
-              "pauli.multiply.calls": 382, "failed": 0}
-    change = {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.2,
-              "pauli.multiply.calls": 0, "failed": 0, "new.calls": 3}
+def test_layer_changes_compare_the_medians_of_the_traced_runs():
+    parent = [
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.5, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.9, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.4, "failed": 0},
+    ]
+    change = [
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.2, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.1, "failed": 0,
+         "new.calls": 3},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.6, "failed": 0,
+         "new.calls": 5},
+    ]
     out = bench_pair.layer_changes(parent, change)
-    assert list(out) == sorted(parent.keys() | change.keys())
+    assert list(out) == ["engine.verify.self_s", "failed", "kernels.best_splitter.calls",
+                         "new.calls"]
     assert out["kernels.best_splitter.calls"] == {
-        "parent": 40, "change": 40, "relative_change": 0.0}
-    assert out["engine.verify.self_s"]["relative_change"] == -0.6
-    assert out["pauli.multiply.calls"]["relative_change"] == -1.0
-    # A zero parent value has no relative change; a missing metric reads 0.
-    assert out["failed"] == {"parent": 0, "change": 0}
-    assert out["new.calls"] == {"parent": 0, "change": 3}
+        "parent": {"runs": [40, 40, 40], "median": 40},
+        "change": {"runs": [40, 40, 40], "median": 40},
+        "relative_change": 0.0}
+    # Medians 0.5 and 0.2: the outlying 0.9 and 0.6 do not move them.
+    verify = out["engine.verify.self_s"]
+    assert verify["parent"] == {"runs": [0.5, 0.9, 0.4], "median": 0.5}
+    assert verify["change"]["median"] == 0.2
+    assert verify["relative_change"] == -0.6
+    # A zero parent median has no relative change; a missing metric reads 0.
+    assert "relative_change" not in out["failed"]
+    assert out["new.calls"]["parent"] == {"runs": [0, 0, 0], "median": 0}
+    assert out["new.calls"]["change"] == {"runs": [0, 3, 5], "median": 3}
+    assert "relative_change" not in out["new.calls"]
 
 
 def test_src_lines_counts_the_package_modules_only(tmp_path):
@@ -106,19 +122,27 @@ def test_the_record_keeps_each_runs_wall_times_in_pair_order(tmp_path, monkeypat
     monkeypatch.setattr(bench_pair, "export_parent", lambda ref, target: None)
     monkeypatch.setattr(bench_pair, "export_working_tree", lambda target: None)
     out = tmp_path / "BENCH.json"
-    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1-3", "--out", str(out)]
+    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1-4", "--out", str(out)]
     assert bench_pair.main(argv) == 0
 
     # Pair 1 runs the change first.
     assert [c[:2] for c in calls if not c[2]] == [
         ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+        ("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
+    # Three traced runs per side, on the first three seeds, sides alternated.
+    assert [c[:2] for c in calls if c[2]] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
         ("parent", 3), ("change", 3)]
     record = json.loads(out.read_text())
+    layer = record["per_layer"]["w"]["batch_s"]
+    assert layer["parent"] == {"runs": [1, 2, 3], "median": 2}
+    assert layer["change"] == {"runs": [1.5, 2.5, 3.5], "median": 2.5}
+    assert layer["relative_change"] == 0.25
     assert "kernel_backend" not in record
     entry = record["end_to_end"]["w"]
-    assert entry["batch_s"]["parent"]["median"] == 2
+    assert entry["batch_s"]["parent"]["median"] == 2.5
     for side, offset in (("parent", 0.0), ("change", 0.5)):
         assert [run["wall"] for run in entry["runs"][side]] == [
-            {"batch_s": 10 * (seed + offset)} for seed in (1, 2, 3)]
+            {"batch_s": 10 * (seed + offset)} for seed in (1, 2, 3, 4)]
         assert [run["values"]["batch_s"] for run in entry["runs"][side]] == [
-            seed + offset for seed in (1, 2, 3)]
+            seed + offset for seed in (1, 2, 3, 4)]

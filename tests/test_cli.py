@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from twep.bounds import bounds_table
+from twep.bounds import bounds_table, rate_table
 from twep.cli import _grid, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,6 +154,25 @@ class TestBoundsCommand:
         payload = json.loads(result.output)
         assert payload[0]["hamming_k"] == 1
 
+    @pytest.mark.parametrize(
+        "n_range, t_range",
+        [
+            ("1", "0"),
+            ("1..12", "0..12"),
+            ("5..9", "3"),
+            ("40..41", "0..25"),
+            ("298..300", "140..160"),
+        ],
+    )
+    def test_json_is_json_dumps_byte_for_byte(self, runner, n_range, t_range):
+        """The JSON table is written directly; it must be what the indenting
+        encoder prints, including the null gv_k of rows with 2t > n."""
+        result = runner.invoke(main, ["bounds", "--n", n_range, "--t", t_range])
+        assert result.exit_code == 0
+        ns, ts, _ = _grid(n_range, t_range)
+        expected = json.dumps(list(map(vars, bounds_table(ns, ts))), indent=2) + "\n"
+        assert result.stdout_bytes == expected.encode()
+
     def test_malformed_range_exits_two(self, runner):
         result = runner.invoke(main, ["bounds", "--n", "5...9", "--t", "1"])
         assert result.exit_code == 2
@@ -194,6 +213,16 @@ class TestRatesCommand:
         result = runner.invoke(main, ["rates", "--points", "11"])
         payload = json.loads(result.output)
         assert set(payload[0]) == {"x", "rate_2epp", "rate_gv", "h"}
+
+    @pytest.mark.parametrize("points", [2, 3, 51, 1001])
+    def test_json_is_json_dumps_byte_for_byte(self, runner, points):
+        """Endpoints x = 0 and x = 1/2 included, where the rates clamp."""
+        result = runner.invoke(main, ["rates", "--points", str(points)])
+        assert result.exit_code == 0
+        table = rate_table(points)
+        assert (table[0].x, table[-1].x) == (0.0, 0.5)
+        expected = json.dumps(list(map(vars, table)), indent=2) + "\n"
+        assert result.stdout_bytes == expected.encode()
 
     def test_determinism(self, runner):
         a = runner.invoke(main, ["rates", "--points", "101", "--format", "csv"])

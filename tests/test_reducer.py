@@ -1,6 +1,6 @@
-"""The packed row reduction (``_kernels.Echelon``) and every caller of it
-against the tuple reduction it replaced, kept in ``prop_checks`` as the
-oracle: ranks, membership, coset partitions, ``extend``'s errors, the
+"""The packed row reductions (``_kernels.Echelon`` and the pivot table of
+``_kernels.pivot_store``) and every caller of them against the tuple
+reduction they replaced, kept in ``prop_checks`` as the oracle: ranks, membership, coset partitions, ``extend``'s errors, the
 normalizer complement basis and the minimum normalizer weight; and the
 coset-class invariant ``engine.verify`` relies on at a Finish leaf.
 Operators run to n = 130 registers, so rows cross the 64- and 128-bit
@@ -9,13 +9,14 @@ columns."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prop_checks
-from prop_checks import inverse, random_wide_stabilizer
+from prop_checks import inverse, permute, random_wide_stabilizer
 from twep import _kernels
 from twep.errorspace import ErrorSet, coset_classes
 from twep.pauli import PauliVec, multiply, parse
@@ -196,6 +197,35 @@ def small_cases(draw):
 @given(s=small_cases())
 def test_min_normalizer_weight_matches_the_tuple_oracle(s):
     assert min_normalizer_weight(s) == prop_checks.min_normalizer_weight_reference(s)
+
+
+def test_min_normalizer_weight_matches_the_tuple_oracle_where_it_backtracks():
+    """Distance >= 2 makes the support search reject every support of each
+    smaller size, undoing each site's pivots on the way back, which the
+    draws above, nearly all of distance 1, rarely do.  Dense random
+    stabilizers of rank n - 1 and n - 2 (qubits n = 8..10, qutrits
+    n = 5..7), twenty per shape, are kept at distance >= 2 by the oracle;
+    the distance-3 anchors run under seeded register permutations."""
+    rng = random.Random(2205)
+    distances = Counter()
+    for d, sizes in ((2, range(8, 11)), (3, range(5, 8))):
+        for n in sizes:
+            for r in (n - 1, n - 2):
+                for _ in range(20):
+                    s = prop_checks.random_stabilizer(rng, d, n, r)
+                    expected = prop_checks.min_normalizer_weight_reference(s)
+                    if expected >= 2:
+                        assert min_normalizer_weight(s) == expected, (d, n, r, s.gens)
+                        distances[expected] += 1
+    assert distances == {2: 169, 3: 31}
+    for d, gens in ANCHORS[1:]:
+        base = _anchor(d, gens)
+        for _ in range(4):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            s = StabilizerSet(d, base.n, [permute(g, perm) for g in base.gens])
+            assert min_normalizer_weight(s) == 3, (perm, gens)
+            assert prop_checks.min_normalizer_weight_reference(s) == 3
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

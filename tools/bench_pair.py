@@ -22,9 +22,11 @@ parent median).
 nine of every ten pairs and its median beat the parent's by more than the
 parent's interquartile range.
 
-After the pairs, ``perfbench/run.py --trace 1`` runs once per side per
-workload, on the first seed; ``per_layer`` holds each of its metrics as
-the parent's value, the change's value and ``relative_change``.
+After the pairs, ``perfbench/run.py --trace 1`` runs once per side on
+each of the first three seeds of each workload (``TRACED_SEEDS``), the
+parent first on the first and third.  ``per_layer`` holds each of their
+metrics as each side's per-run values and median, and ``relative_change``
+of the medians: one traced run is too noisy to read a layer's change.
 ``src_lines`` holds the line count of ``src/twep/*.py`` in each tree and
 their difference, the change's net line count.
 
@@ -50,6 +52,7 @@ import tempfile
 from pathlib import Path
 
 METRICS = ("setup_s", "batch_s", "task_s.p50", "task_s.max", "peak_rss_mb", "failed")
+TRACED_SEEDS = 3
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -77,15 +80,20 @@ def summarize(parent: list[float], change: list[float]) -> dict:
     return out
 
 
-def layer_changes(parent: dict, change: dict) -> dict:
-    """Parent value, change value and relative change of every metric of
-    one traced run per side; a metric missing on one side counts as 0."""
+def layer_changes(parent: list[dict], change: list[dict]) -> dict:
+    """Each side's per-run values and their median, and the relative change
+    of the medians, for every metric of the traced runs; a metric missing
+    from a run counts as 0 there."""
     out = {}
-    for name in sorted(parent.keys() | change.keys()):
-        p, c = parent.get(name, 0), change.get(name, 0)
-        out[name] = {"parent": p, "change": c}
+    for name in sorted(set().union(*parent, *change)):
+        entry = {}
+        for side, runs in (("parent", parent), ("change", change)):
+            values = [run.get(name, 0) for run in runs]
+            entry[side] = {"runs": values, "median": statistics.median(values)}
+        p, c = entry["parent"]["median"], entry["change"]["median"]
         if p:
-            out[name]["relative_change"] = round((c - p) / p, 4)
+            entry["relative_change"] = round((c - p) / p, 4)
+        out[name] = entry
     return out
 
 
@@ -185,7 +193,7 @@ def main(argv=None) -> int:
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain"))
     runs = {w: {"parent": [], "change": []} for w in args.workload}
-    traced = {w: {} for w in args.workload}
+    traced = {w: {"parent": [], "change": []} for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
         export_parent(parent_commit, trees["parent"])
@@ -203,10 +211,12 @@ def main(argv=None) -> int:
                           f"batch_s {values['batch_s']:.4f}", file=sys.stderr)
                 pair += 1
         for workload in args.workload:
-            for side in ("parent", "change"):
-                traced[workload][side], _ = run_once(
-                    trees[side], workload, args.seeds[0], args.seconds, trace=1)
-                print(f"traced {workload} seed {args.seeds[0]} {side}", file=sys.stderr)
+            for k, seed in enumerate(args.seeds[:TRACED_SEEDS]):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    values, _ = run_once(trees[side], workload, seed, args.seconds, trace=1)
+                    traced[workload][side].append(values)
+                    print(f"traced {workload} seed {seed} {side}", file=sys.stderr)
 
     end_to_end = {}
     for workload, sides in runs.items():
@@ -234,9 +244,10 @@ def main(argv=None) -> int:
                     "scaled seconds; quartiles are inclusive over the seeds; "
                     "change_wins counts pairs the change wins strictly; "
                     "relative_change is (change median - parent median) / parent median",
-        "per_layer_command": f"python3 perfbench/run.py --workload W --seed "
-                             f"{args.seeds[0]} --seconds {args.seconds:g} --trace 1, "
-                             f"once per side",
+        "per_layer_command": f"python3 perfbench/run.py --workload W --seed S "
+                             f"--seconds {args.seconds:g} --trace 1, once per side "
+                             f"on each seed S of {args.seeds[:TRACED_SEEDS]}, sides "
+                             f"alternated; per_layer compares the medians",
         "src_lines": lines,
         "claimed": claimed,
         "end_to_end": end_to_end,
