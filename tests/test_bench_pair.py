@@ -61,20 +61,24 @@ def test_seed_ranges():
 
 def test_layer_changes_compare_the_medians_of_the_traced_runs():
     parent = [
-        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.5, "failed": 0},
-        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.9, "failed": 0},
-        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.4, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.5,
+         "pauli.multiply.calls": 382, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.9,
+         "pauli.multiply.calls": 382, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.4,
+         "pauli.multiply.calls": 382, "failed": 0},
     ]
     change = [
-        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.2, "failed": 0},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.2,
+         "pauli.multiply.calls": 0, "failed": 0},
         {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.1, "failed": 0,
          "new.calls": 3},
-        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.6, "failed": 0,
-         "new.calls": 5},
+        {"kernels.best_splitter.calls": 40, "engine.verify.self_s": 0.6,
+         "pauli.multiply.calls": 0, "failed": 0, "new.calls": 5},
     ]
     out = bench_pair.layer_changes(parent, change)
     assert list(out) == ["engine.verify.self_s", "failed", "kernels.best_splitter.calls",
-                         "new.calls"]
+                         "new.calls", "pauli.multiply.calls"]
     assert out["kernels.best_splitter.calls"] == {
         "parent": {"runs": [40, 40, 40], "median": 40},
         "change": {"runs": [40, 40, 40], "median": 40},
@@ -89,6 +93,11 @@ def test_layer_changes_compare_the_medians_of_the_traced_runs():
     assert out["new.calls"]["parent"] == {"runs": [0, 0, 0], "median": 0}
     assert out["new.calls"]["change"] == {"runs": [0, 3, 5], "median": 3}
     assert "relative_change" not in out["new.calls"]
+    # A metric gone from the change (zero or missing in each run) reads -1.
+    multiply = out["pauli.multiply.calls"]
+    assert multiply["parent"] == {"runs": [382, 382, 382], "median": 382}
+    assert multiply["change"] == {"runs": [0, 0, 0], "median": 0}
+    assert multiply["relative_change"] == -1.0
 
 
 def test_src_lines_counts_the_package_modules_only(tmp_path):

@@ -2,7 +2,7 @@
 """Run the recorded mutants of the package against the tests meant to kill
 them.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Run from the root of the repository.  Each mutant names a file, the exact
 text it replaces (which must occur there once), the replacement and the
@@ -26,7 +26,6 @@ killed, 2 when a mutant does not apply or the unmutated tests fail.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -132,6 +131,13 @@ MUTANTS = (
         ("tests/test_bench_pair.py",),
     ),
     Mutant(
+        "layer-changes-drop-vanished-metrics",
+        "tools/bench_pair.py",
+        "        if p:\n            entry[\"relative_change\"]",
+        "        if p and c:\n            entry[\"relative_change\"]",
+        ("tests/test_bench_pair.py",),
+    ),
+    Mutant(
         "bench-pair-traces-one-seed",
         "tools/bench_pair.py",
         "args.seeds[:TRACED_SEEDS]):",
@@ -163,17 +169,8 @@ def copy_tree(target: Path) -> None:
     shutil.copy2("pyproject.toml", target / "pyproject.toml")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] if args.names else list(MUTANTS)
-
-    for mutant in chosen:
+def main() -> int:
+    for mutant in MUTANTS:
         count = Path(mutant.path).read_text().count(mutant.old)
         if count != 1:
             print(f"{mutant.name}: its text occurs {count} times in {mutant.path}")
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
         copy = Path(scratch)
         copy_tree(copy)
         timeouts: dict[tuple[str, ...], float] = {}
-        for mutant in chosen:
+        for mutant in MUTANTS:
             if mutant.tests not in timeouts:
                 outcome, seconds = run_tests(copy, mutant.tests, None)
                 print(f"unmutated {' '.join(mutant.tests)}: {outcome} in {seconds:.1f} s",
@@ -207,7 +204,7 @@ def main(argv=None) -> int:
             else:
                 bad += outcome == "passed"
             print(f"{mutant.name}: {verdict} in {seconds:.1f} s{note}", flush=True)
-    print(f"{len(chosen)} mutants, {bad} unexpected")
+    print(f"{len(MUTANTS)} mutants, {bad} unexpected")
     return 1 if bad else 0
 
 
