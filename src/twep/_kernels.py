@@ -7,21 +7,23 @@ of ``one`` (``two``) set iff column c holds 1 (2); for d=2 ``two`` is 0.
 An operator's planes are its row, x[i] at column 2i and z[i] at 2i + 1.
 Both reducers serve both dimensions: for d=2 eliminating a column is one
 XOR, for d=3 one two-plane add.  ``Echelon`` keeps its rows fully reduced,
-pivoted on their lowest columns, as immutable states: the walk's cosets,
-the normalizer constraints and discard completion use it.  The pivot
+pivoted on their lowest columns, as immutable states, and serves only what
+needs full reduction: coset residues, ``StabilizerSet`` growth, the
+normalizer constraints' nullspace and discard completion.  The pivot
 table (``pivot_store``) is one mutable dict of rows pivoted on their
 highest columns and never back-substituted, so a row is undone by
-deleting its pivot: the distance scan uses it, to read the span's leading
-columns off the generators (``stabilizer._complement_rows``) and for the
-support search, which adds and undoes a site's syndrome rows.
+deleting its pivot: ``stabilizer.rank`` counts its rows, the distance
+scan reads the span's leading columns off the generators
+(``stabilizer._complement_rows``) and its support search adds and undoes
+a site's syndrome rows, and the splitter's pre-pass (``_independent``)
+keeps the rows that leave a pivot.
 
-Both scans take a stabilizer's basis the same way, as
-``stabilizer._scan_basis`` builds it: the generators (the span) and the
-normalizer complement, each operator as its row split by value plane; for
-d=2 the value-2 planes are ignored.  The minimum-weight search transposes
-the basis planes once, and the best-splitter scan, which assumes d=2, its
-error rows (``_columns`` over the 2n columns), so that a site's column
-pair is read as two bit-rows over the operators.
+Both scans take basis operators as rows split by value plane; for d=2 the
+value-2 planes are ignored.  The minimum-weight search takes the
+generators (the span) and the normalizer complement and transposes their
+planes once; the best-splitter scan, which assumes d=2, reads only the
+complement and transposes its error rows (``_columns`` over the 2n
+columns), so that a site's column pair is read as two bit-rows.
 
 The splitter scan is transposed: each complement basis vector becomes one
 bit-row over the error list (bit e set iff the vector anticommutes with
@@ -72,15 +74,16 @@ def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
 
 
 class Echelon:
-    """Packed rows over Z_d in reduced row echelon form, for the walk's
-    coset residues, the normalizer constraints and discard completion.
+    """Packed rows over Z_d in reduced row echelon form, for what needs
+    full reduction: coset residues, ``StabilizerSet`` growth, the
+    normalizer constraints' nullspace and discard completion.
 
     Each row is a (pivot bit, one, two) triple: it holds 1 at its pivot,
     its lowest nonzero column, and 0 at every other row's pivot, so a
     vector is reduced by clearing each pivot column it has, in any order,
     and its residue is unique.  A state is immutable; ``insert`` returns a
-    new one.  The distance scan, which needs no residue, uses the cheaper
-    ``pivot_store`` instead.
+    new one.  What needs no residue (rank, the distance scan, the
+    splitter's pre-pass) uses the cheaper ``pivot_store`` instead.
     """
 
     __slots__ = ("d", "rows")
@@ -262,17 +265,12 @@ def _xor_at(bits: int, rows: list[int]) -> int:
 
 def _independent(keys: list[int], rows: list[int]) -> tuple[list[int], list[int]]:
     """The keys and rows left after dropping each row that is a combination
-    of the rows kept before it, in one pass: a kept row is stored reduced,
-    under its leading bit, and a row is dropped if reducing it by the
-    stored rows leaves 0."""
-    basis: dict[int, int] = {}
+    of the rows kept before it, in one pass: a row is kept iff storing it
+    in one pivot table (``pivot_store``) leaves a pivot."""
+    table: dict[int, tuple[int, int]] = {}
     kept_keys, kept_rows = [], []
     for key, row in zip(keys, rows):
-        reduced = row
-        while reduced and reduced.bit_length() in basis:
-            reduced ^= basis[reduced.bit_length()]
-        if reduced:
-            basis[reduced.bit_length()] = reduced
+        if pivot_store(table, 2, row, 0):
             kept_keys.append(key)
             kept_rows.append(row)
     return kept_keys, kept_rows

@@ -78,12 +78,12 @@ def _parse_range(text: str) -> range:
 
 # The table commands build their whole output before printing it.  Peak RSS
 # (VmHWM) above an interpreter that has imported twep, Python 3.11, in the
-# larger of the two formats: rates 1,296 bytes a point at 10^5 points
-# (JSON); bounds 1,677 bytes a row on n = 1..40,000 and 2,861 on n near
-# 10^100 (JSON), so about 12.5 more per digit of n, plus the error counts
-# of the widest n; mi 0.53 bytes per count^2 at counts 8,000 and 12,000
-# (CSV), since m_i has about i bits.  The estimates below round these up
-# and share the walk's budget.
+# larger of the two formats: rates 807 bytes a point at 9 * 10^4 points and
+# bounds 912 bytes a row on n = 1..30,000, t = 0..1, 2,451 near n = 10^100
+# and 17,703 near 10^1000, so about 16 more per digit of n, plus the error
+# counts of the widest n (JSON; CSV 374, 443, 2,107 and 17,366); mi 0.53
+# bytes per count^2 at counts 8,000 and 12,000 (CSV), since m_i has about i
+# bits.  The estimates below round these up and share the walk's budget.
 _POINT_BYTES = 1408
 _ROW_BYTES = 1792
 

@@ -42,12 +42,12 @@ def rank(gens: Sequence[PauliVec]) -> int:
     if not gens:
         return 0
     d, n = gens[0].d, gens[0].n
-    rows = Echelon(d)
+    table: dict[int, tuple[int, int]] = {}
     for g in gens:
         if g.d != d or g.n != n:
             raise DimensionMismatchError("generators disagree on d or n")
-        rows = rows.insert(g.one, g.two) or rows
-    return len(rows)
+        _kernels.pivot_store(table, d, g.one, g.two)
+    return len(table)
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,12 @@ def _complement_rows(s: StabilizerSet) -> list[tuple[int, int]]:
     ]
 
 
-def _extended_basis(basis: tuple, s: StabilizerSet) -> tuple:
-    """``_scan_basis(s)`` for a qubit stabilizer whose last generator m is a
-    nonzero combination of its parent's complement, derived from the
-    parent's ``_scan_basis``, ``basis``, by one symplectic Gram-Schmidt
-    step in O(D) integer operations for a complement of D vectors.
+def _extended_basis(comp: list[int], s: StabilizerSet) -> list[int]:
+    """The complement rows' value-1 planes (``_complement_rows(s)``) for a
+    qubit stabilizer whose last generator m is a nonzero combination of its
+    parent's complement, derived from the parent's, ``comp``, by one
+    symplectic Gram-Schmidt step in O(D) integer operations for a
+    complement of D vectors.
 
     The first complement vector p that anticommutes with m is added to
     every other one that does and dropped: the rest commute with m and,
@@ -277,22 +278,18 @@ def _extended_basis(basis: tuple, s: StabilizerSet) -> tuple:
     and it is not p, since then m would anticommute with itself.  Reduced by
     m it lies in the others' span, the new complement having one dimension
     fewer, so it is dropped too.  The rest are in key form for the new span,
-    which is unique for the space they span, so this is
-    ``_complement_rows(s)``."""
-    span_one, span_two, comp, _ = basis
+    which is unique for the space they span, so these are
+    ``_complement_rows(s)``'s."""
     m = s.gens[-1].one
     dual, _ = _dual(s.gens[-1])
     anti = [(dual & k).bit_count() & 1 for k in comp]
     p = comp[anti.index(1)]
     lead = m.bit_length()
-    kept = [
+    return [
         k ^ p if a else k
         for k, a in zip(comp, anti)
         if k != p and k.bit_length() != lead
     ]
-    if not kept:
-        return ()
-    return span_one + [m], span_two + [0], kept, [0] * len(kept)
 
 
 def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:
@@ -302,30 +299,23 @@ def normalizer_complement_basis(s: StabilizerSet) -> list[PauliVec]:
     return [_from_planes(s.d, s.n, one, two) for one, two in _complement_rows(s)]
 
 
-def _scan_basis(s: StabilizerSet) -> tuple:
-    """The basis both kernels scan, as rows split by value plane: (span
-    ones, span twos, complement ones, complement twos) for the generators
-    and the normalizer complement; empty if the complement is."""
-    complement = _complement_rows(s)
-    if not complement:
-        return ()
-    return (
-        [g.one for g in s.gens],
-        [g.two for g in s.gens],
-        [one for one, _ in complement],
-        [two for _, two in complement],
-    )
-
-
 def min_normalizer_weight(s: StabilizerSet) -> int:
     """Minimum weight over normalizer elements outside the group; the code
     corrects floor((result - 1) / 2) errors.  The scan takes the
-    generators and the normalizer complement from ``_scan_basis``."""
+    generators and the normalizer complement (``_complement_rows``), each
+    as rows split by value plane."""
     if s.n > ENUMERATION_MAX_N:
         raise SizeLimitError(
             f"normalizer scan needs n <= {ENUMERATION_MAX_N}, got {s.n}"
         )
-    basis = _scan_basis(s)
-    if not basis:
+    complement = _complement_rows(s)
+    if not complement:
         raise ValueError("normalizer equals the stabilizer; nothing to scan")
-    return _kernels.min_weight_excluding_span(*basis, s.n, s.d)
+    return _kernels.min_weight_excluding_span(
+        [g.one for g in s.gens],
+        [g.two for g in s.gens],
+        [one for one, _ in complement],
+        [two for _, two in complement],
+        s.n,
+        s.d,
+    )

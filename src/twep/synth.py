@@ -18,10 +18,10 @@ the complement vectors whose anticommutation rows over the survivors are
 independent of the rows before them, which leaves its winner unchanged:
 2^rho masks for rows of rank rho, at most the survivors' coset classes,
 instead of 2^D for D complement vectors, so deep nodes with few survivors
-are cheap.  The span and normalizer complement rows
-(``stabilizer._scan_basis``) are kept once per stabilizer, which sibling
-nodes share, so a node pays only for its own survivors.  Only the root's
-basis is solved from scratch: a child's is derived from its parent's
+are cheap.  The scan reads only the normalizer complement's rows, kept
+once per stabilizer, which sibling nodes share, so a node pays only for
+its own survivors.  Only the root's complement is solved from scratch
+(``stabilizer._complement_rows``): a child's is derived from its parent's
 (``stabilizer._extended_basis``) in O(D) integer operations for a
 complement of D vectors, already in the key form the scan takes.  The
 scan's counts are kept per Measure node; they are the step statistics'
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
+from . import _kernels, stabilizer
 from .bounds import thm2_k
 from .engine import (
     Finish,
@@ -46,7 +46,7 @@ from .engine import (
 )
 from .errorspace import ErrorSet, base_errors, count_errors
 from .pauli import PauliVec, _from_planes, symplectic_product
-from .stabilizer import SizeLimitError, StabilizerSet, _extended_basis, _scan_basis
+from .stabilizer import SizeLimitError, StabilizerSet, _extended_basis
 
 # Unused here; perfbench's tracer wraps each of these as ``synth.<name>``.
 from .engine import simulate, verify
@@ -100,13 +100,14 @@ def choose_generator(s: StabilizerSet, errors: ErrorSet) -> PauliVec:
 
 
 def _best_splitter(
-    s: StabilizerSet, rows: list[int], bases: dict[tuple, tuple]
+    s: StabilizerSet, rows: list[int], bases: dict[tuple, list[int]]
 ) -> tuple[PauliVec, int]:
     """``choose_generator``'s operator for qubit errors given as rows, and
-    how many of the errors commute with it.  ``bases`` memoizes
-    ``_scan_basis`` by generator tuple and gains an entry for ``s`` if it
-    has none: derived from its parent's entry (``_extended_basis``), whose
-    splitter chose ``s``'s last generator, or else built from scratch."""
+    how many of the errors commute with it.  ``bases`` memoizes the
+    complement rows in key form by generator tuple and gains an entry for
+    ``s`` if it has none: derived from its parent's entry
+    (``_extended_basis``), whose splitter chose ``s``'s last generator, or
+    else read off ``stabilizer._complement_rows``."""
     residues = map(s._rows.reduce, rows)
     first = next(residues, None)
     if len(rows) < 2 or all(r == first for r in residues):
@@ -115,11 +116,15 @@ def _best_splitter(
         )
     if s.gens not in bases:
         parent = bases.get(s.gens[:-1])
-        bases[s.gens] = _scan_basis(s) if parent is None else _extended_basis(parent, s)
-    basis = bases[s.gens]
-    if not basis:
+        if parent is None:
+            bases[s.gens] = [one for one, _ in stabilizer._complement_rows(s)]
+        else:
+            bases[s.gens] = _extended_basis(parent, s)
+    comp = bases[s.gens]
+    if not comp:
         raise NoSeparatorError("stabilizer has full rank; nothing left to measure")
-    row, commuting, _ = _kernels.best_splitter(*basis, rows, s.n)
+    # best_splitter reads no span or value-2 planes; perfbench counts by position.
+    row, commuting, _ = _kernels.best_splitter([], [], comp, [], rows, s.n)
     return _from_planes(2, s.n, row, 0), commuting
 
 
@@ -134,9 +139,8 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     The walk reaches exactly the histories the strategy is ever consulted
     on, and its report is ``verify(strategy)``, because the chooser answers
     each node as the finished strategy does.  A node passes the kernel its
-    survivors' rows, and the span and complement rows are kept once per
-    stabilizer, which sibling nodes share; a child's are derived from its
-    parent's."""
+    survivors' rows, and the complement rows are kept once per stabilizer,
+    which sibling nodes share; a child's are derived from its parent's."""
     if n < 1 or not 0 <= t <= n:
         raise ValueError(
             f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"
@@ -144,7 +148,7 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
     rows = [e.one for e in base_errors(2, n, t).members]
-    bases: dict[tuple, tuple] = {}
+    bases: dict[tuple, list[int]] = {}
     tree: dict[tuple, Step] = {}
     splits: dict[tuple, tuple[int, int, int, int]] = {}
 

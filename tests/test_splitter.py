@@ -18,9 +18,9 @@ with repeats, and one-coset survivors whose rows are all 0 or all ones,
 where the scan returns the first complement vector without a sweep.
 
 The scan relies on its complement coming in key form; that property of
-``_complement_rows`` is checked at every rank, and the child basis that
-synthesis derives from its parent's (``_extended_basis``) against
-``_scan_basis`` of the child."""
+``_complement_rows`` is checked at every rank, and the child complement
+that synthesis derives from its parent's (``_extended_basis``) against
+``_complement_rows`` of the child."""
 
 from __future__ import annotations
 
@@ -34,17 +34,20 @@ import prop_checks
 from twep import _kernels, stabilizer, synth
 from twep.errorspace import base_errors
 from twep.pauli import PauliVec, _from_planes, multiply
-from twep.stabilizer import (
-    StabilizerSet,
-    _complement_rows,
-    _extended_basis,
-    _scan_basis,
-)
+from twep.stabilizer import StabilizerSet, _complement_rows, _extended_basis
+
+
+def _complement(s: StabilizerSet) -> list[int]:
+    """The complement rows synthesis keeps for ``s``: their value-1 planes."""
+    return [one for one, _ in _complement_rows(s)]
 
 
 def _arguments(s: StabilizerSet, errors: list[PauliVec]) -> tuple:
-    """``best_splitter``'s arguments as ``synth.choose_generator`` builds them."""
-    return (*_scan_basis(s), [e.one for e in errors], s.n)
+    """``best_splitter``'s arguments with the span the oracle reads: the
+    generators and the complement as rows split by value plane."""
+    comp = _complement(s)
+    gens = [g.one for g in s.gens]
+    return (gens, [0] * len(gens), comp, [0] * len(comp), [e.one for e in errors], s.n)
 
 
 def _group_element(rng: random.Random, s: StabilizerSet) -> PauliVec:
@@ -80,7 +83,10 @@ def _assert_same(
 ) -> None:
     args = list(_arguments(s, errors))
     args[2:4] = args[2][:nc], args[3][:nc]
-    assert _kernels.best_splitter(*args) == prop_checks.best_splitter_reference(*args)
+    expected = prop_checks.best_splitter_reference(*args)
+    assert _kernels.best_splitter(*args) == expected
+    # Synthesis passes the complement alone.
+    assert _kernels.best_splitter([], [], args[2], [], *args[4:]) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,7 +248,7 @@ def test_independent_keeps_the_span_and_drops_only_earlier_combinations(data):
 
 def test_full_rank_has_no_candidate():
     s = prop_checks.random_stabilizer(random.Random(3), 2, 4, 4)
-    assert _scan_basis(s) == ()
+    assert _complement_rows(s) == []
     gens = [g.one for g in s.gens]
     args = (gens, [0] * len(gens), [], [], [PauliVec.identity(2, 4).one], 4)
     for scan in (_kernels.best_splitter, prop_checks.best_splitter_reference):
@@ -302,16 +308,16 @@ def test_complement_is_in_key_form(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_derived_child_basis_equals_the_scan_basis(n):
     """The child of s measuring m, a nonzero combination of s's complement:
-    its basis derived from s's is the one built from scratch."""
+    its complement derived from s's is the one built from scratch."""
     rng = random.Random(100 + n)
     for rank in range(n):
         for _ in range(12):
             s = prop_checks.random_stabilizer(rng, 2, n, rank)
-            basis = _scan_basis(s)
-            mask = rng.randrange(1, 1 << len(basis[2]))
-            m = _kernels._xor_at(mask, basis[2])
+            comp = _complement(s)
+            mask = rng.randrange(1, 1 << len(comp))
+            m = _kernels._xor_at(mask, comp)
             child = s.extend(_from_planes(2, n, m, 0))
-            assert _extended_basis(basis, child) == _scan_basis(child)
+            assert _extended_basis(comp, child) == _complement(child)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -329,8 +335,8 @@ def test_every_synthesis_memo_entry_equals_the_scan_basis(n, monkeypatch):
         synth._synthesize(n, t)
         if not memos:
             continue
-        for gens, basis in memos[0].items():
-            assert basis == _scan_basis(StabilizerSet(2, n, gens)), (t, gens)
+        for gens, comp in memos[0].items():
+            assert comp == _complement(StabilizerSet(2, n, gens)), (t, gens)
 
 
 def test_synthesis_builds_one_basis_from_scratch(monkeypatch):

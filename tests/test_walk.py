@@ -459,10 +459,11 @@ def test_one_way_verdicts_match_the_distance_scan():
     """A strategy that measures a stabilizer's generators and finishes
     corrects t errors iff no operator of weight <= 2t commutes with the
     stabilizer without lying in it, and then certifies n - rank pairs.  The
-    walk and the support search share only ``Echelon``, so each checks the
-    other, at every t <= min(n, 3), on seeded qubit (n = 3..9) and qutrit
-    (n = 2..6) stabilizers of every rank 1..n-1, three per shape, and on
-    three distance-3 codes.  Every one of these enumerations fits
+    walk reduces with ``Echelon`` and the support search with the pivot
+    table, so they share no reducer and each checks the other, at every
+    t <= min(n, 3), on seeded qubit (n = 3..9) and qutrit (n = 2..6)
+    stabilizers of every rank 1..n-1, three per shape, and on three
+    distance-3 codes.  Every one of these enumerations fits
     ``check_size``."""
     rng = random.Random(2117)
     stabilizers = [

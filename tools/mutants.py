@@ -52,6 +52,7 @@ class Mutant:
 KERNELS = "src/twep/_kernels.py"
 STABILIZER = "src/twep/stabilizer.py"
 DISTANCE_TESTS = ("tests/test_reducer.py", "tests/test_stabilizer.py")
+SPLITTER_TESTS = ("tests/test_splitter.py",)
 
 MUTANTS = (
     Mutant(
@@ -115,6 +116,66 @@ MUTANTS = (
         "        if (one | two).bit_length() not in leading\n",
         "        if ((one | two) & -(one | two)).bit_length() not in leading\n",
         ("tests/test_reducer.py", "tests/test_splitter.py"),
+    ),
+    Mutant(
+        "independent-keeps-every-row",
+        KERNELS,
+        "if pivot_store(table, 2, row, 0):",
+        "if True:",
+        SPLITTER_TESTS,
+    ),
+    Mutant(
+        "extended-basis-keeps-p",
+        STABILIZER,
+        "        if k != p and k.bit_length() != lead\n",
+        "        if k.bit_length() != lead\n",
+        SPLITTER_TESTS,
+    ),
+    Mutant(
+        "extended-basis-keeps-the-vector-at-the-measured-lead",
+        STABILIZER,
+        "        if k != p and k.bit_length() != lead\n",
+        "        if k != p\n",
+        SPLITTER_TESTS,
+    ),
+    Mutant(
+        "rank-counts-the-generators",
+        STABILIZER,
+        "    return len(table)\n",
+        "    return len(gens)\n",
+        DISTANCE_TESTS,
+    ),
+    Mutant(
+        "echelon-keeps-a-2-at-its-pivot",
+        KERNELS,
+        "        if two & pivot:  # scale by 2 (negate) so that the pivot holds 1\n"
+        "            one, two = two, one\n",
+        "",
+        DISTANCE_TESTS,
+    ),
+    Mutant(
+        "walk-puts-every-qubit-error-in-part-0",
+        "src/twep/engine.py",
+        "parts[(u1 & ones[i]).bit_count() & 1].append(i)",
+        "parts[0].append(i)",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "balance-admits-the-boundary",
+        "src/twep/synth.py",
+        "excess * excess < total",
+        "excess * excess <= total",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "discard-completion-resumes-at-column-0",
+        STABILIZER,
+        "span, start = grown, one.bit_length()",
+        "span, start = grown, 0",
+        ("tests/test_stabilizer.py",),
+        equivalent="after a pick at f every element of the new V led by a column "
+        "up to f lies in the new span, so each basis vector of a free column "
+        "up to f is rejected again and the next pick is the same",
     ),
     Mutant(
         "table-json-prints-none",
