@@ -1,7 +1,8 @@
 """Closed-form coding bounds, the adaptive-protocol guarantee, and rate curves.
 
 Everything integer-valued here is computed with exact big-integer
-arithmetic; the only floating point is in the asymptotic rate table.
+arithmetic; the only floating point is in the asymptotic rate table.  The
+tables are rows of values, which the command-line front end formats.
 """
 
 from __future__ import annotations
@@ -169,17 +170,3 @@ def bounds_table(n_values: list[int], t_values: list[int]) -> list[BoundsRow]:
             )
     return rows
 
-
-def bounds_csv(rows: list[BoundsRow]) -> str:
-    lines = ["n,t,hamming_k,singleton_k,gv_k,thm2_k"]
-    for r in rows:
-        gv = "" if r.gv_k is None else str(r.gv_k)
-        lines.append(f"{r.n},{r.t},{r.hamming_k},{r.singleton_k},{gv},{r.thm2_k}")
-    return "\n".join(lines) + "\n"
-
-
-def rates_csv(table: list[RatePoint]) -> str:
-    lines = ["x,rate_2epp,rate_gv"]
-    for p in table:
-        lines.append(f"{p.x!r},{p.rate_2epp!r},{p.rate_gv!r}")
-    return "\n".join(lines) + "\n"

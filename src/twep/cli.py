@@ -79,11 +79,14 @@ def _parse_range(text: str) -> range:
 # The table commands build their whole output before printing it.  Peak RSS
 # (VmHWM) above an interpreter that has imported twep, Python 3.11, in the
 # larger of the two formats: rates 807 bytes a point at 9 * 10^4 points and
-# bounds 912 bytes a row on n = 1..30,000, t = 0..1, 2,451 near n = 10^100
-# and 17,703 near 10^1000, so about 16 more per digit of n, plus the error
-# counts of the widest n (JSON; CSV 374, 443, 2,107 and 17,366); mi 0.53
-# bytes per count^2 at counts 8,000 and 12,000 (CSV), since m_i has about i
-# bits.  The estimates below round these up and share the walk's budget.
+# bounds 912 bytes a row on n = 1..30,000, t = 0..1, 2,451 near n = 10^100,
+# 17,703 near 10^1000, 63,674 near 10^3000 and 69,522 near 10^4000 (2,400
+# rows; near 10^3000 it reads 52,300 or 63,600 with the size of the
+# environment), so up to 6.2 more per bit of n, plus the error counts of
+# the widest n (JSON; CSV 374, 443, 2,107, 17,366, 51,991 and 69,198); mi
+# 0.53 bytes per count^2 at counts 8,000 and 12,000 (CSV), since m_i has
+# about i bits.  The estimates below round these up and share the walk's
+# budget.
 _POINT_BYTES = 1408
 _ROW_BYTES = 1792
 
@@ -132,6 +135,14 @@ def _json_rows(rows: list) -> str:
         for row in rows
     )
     return "[\n" + body + "\n]\n"
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of values: None as an empty
+    cell, every other value as its ``repr``."""
+    lines = [header]
+    lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @click.group()
@@ -221,12 +232,13 @@ def bounds(n_range: str, t_range: str, fmt: str, output: str | None):
     if not count:
         _fail("empty grid: no (n, t) with 0 <= t <= n", 2)
     n = ns[-1]
-    estimate = count * (_ROW_BYTES + 5 * n.bit_length())
+    estimate = count * (_ROW_BYTES + 7 * n.bit_length())
     estimate += _counts_bytes(n, min(n, 2 * ts[-1]))
     _check_table(estimate, f"bounds over {count} rows")
     rows = bounds_mod.bounds_table(ns, ts)
     if fmt == "csv":
-        _emit(bounds_mod.bounds_csv(rows), output)
+        header = "n,t,hamming_k,singleton_k,gv_k,thm2_k"
+        _emit(_csv(header, (vars(r).values() for r in rows)), output)
     else:
         _emit(_json_rows(rows), output)
 
@@ -242,7 +254,8 @@ def rates(points: int, fmt: str, output: str | None):
     _check_table(points * _POINT_BYTES, f"rates over {points} points")
     table = bounds_mod.rate_table(points)
     if fmt == "csv":
-        _emit(bounds_mod.rates_csv(table), output)
+        rows = ((p.x, p.rate_2epp, p.rate_gv) for p in table)
+        _emit(_csv("x,rate_2epp,rate_gv", rows), output)
     else:
         _emit(_json_rows(table), output)
 
@@ -263,8 +276,7 @@ def mi(count: int, fmt: str, output: str | None):
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "csv":
-            lines = ["i,mi"] + [f"{i},{v}" for i, v in enumerate(seq)]
-            text = "\n".join(lines) + "\n"
+            text = _csv("i,mi", enumerate(seq))
         else:
             text = json.dumps(seq) + "\n"
     finally:

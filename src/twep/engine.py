@@ -19,12 +19,14 @@ share one coset.  This is the package's one tree walk, ``_walk``: it asks a
 chooser for each node's step, which ``verify``'s chooser takes from the
 strategy and greedy synthesis picks from the node's errors.  ``simulate``
 runs one error at a time; it serves single runs and is the oracle the tests
-compare the walk against.  A report passes only if every error ends with a
-consistent correction and enough certified pairs.  A step the strategy may
-not take (a measurement that is not a PauliVec, off the protocol's
-registers, anticommuting or redundant; a discard of no, non-integer or
-nonexistent registers) is a ProtocolError, and so a counterexample for
-every error that reaches it, in both.
+compare the walk against.  The walk and ``simulate`` apply each Measure and
+Discard through one function, ``_apply``, which checks the step and returns
+what it measures; only the walk memoizes discard completions.  A report
+passes only if every error ends with a consistent correction and enough
+certified pairs.  A step the strategy may not take (a measurement that is
+not a PauliVec, off the protocol's registers, anticommuting or redundant; a
+discard of no, non-integer or nonexistent registers) is a ProtocolError,
+and so a counterexample for every error that reaches it, in both.
 """
 
 from __future__ import annotations
@@ -268,12 +270,17 @@ def generic_correction(
     return partition.representatives[0]
 
 
-def _check_step(step: Step, s: StabilizerSet) -> StabilizerSet | frozenset[int] | None:
-    """Raise the ProtocolError a Measure or Discard step commits against the
-    stabilizer s, before the step runs; other steps pass unchecked.  A legal
-    Measure returns s grown by its operator, which is reduced only once.  A
-    legal Discard returns its registers as a frozenset: ``step.registers`` is
-    read only here, so it may be a one-shot iterator."""
+def _apply(
+    step: Step, s: StabilizerSet, completions: dict
+) -> tuple[list[PauliVec], StabilizerSet, frozenset[int] | None]:
+    """Take a step that is not a Finish against the stabilizer s, raising the
+    ProtocolError it commits before it runs, or TypeError if it is not a
+    Step.  Returns the operators it measures, s grown by them and, for a
+    Discard, its registers as a frozenset (None for a Measure).  A Measure's
+    operator is reduced only once.  A Discard's ``step.registers`` is read
+    only here, so it may be a one-shot iterator; it is completed once per
+    distinct (generators, registers) key in ``completions``, which keeps the
+    operators together with the stabilizer they grow."""
     if isinstance(step, Measure):
         op = step.op
         if not isinstance(op, PauliVec):
@@ -292,25 +299,32 @@ def _check_step(step: Step, s: StabilizerSet) -> StabilizerSet | frozenset[int] 
             raise RedundantMeasurement(
                 f"{render(op)} is already determined by earlier measurements"
             )
-        return grown
-    elif isinstance(step, Discard):
-        try:
-            registers = frozenset(step.registers)
-        except TypeError:
-            raise IllegalDiscard(
-                f"discard registers {step.registers!r} are not a set of integers"
-            ) from None
-        if not registers:
-            raise IllegalDiscard("discard of no registers")
-        strange = sorted(repr(r) for r in registers if not isinstance(r, int))
-        if strange:
-            raise IllegalDiscard(
-                f"discard registers {', '.join(strange)} are not integers"
-            )
-        outside = sorted(r for r in registers if not 0 <= r < s.n)
-        if outside:
-            raise IllegalDiscard(f"discard registers {outside} lie outside 0..{s.n - 1}")
-        return registers
+        return [op], grown, None
+    if not isinstance(step, Discard):
+        raise TypeError(f"strategy returned {step!r}, not a Step")
+    try:
+        registers = frozenset(step.registers)
+    except TypeError:
+        raise IllegalDiscard(
+            f"discard registers {step.registers!r} are not a set of integers"
+        ) from None
+    if not registers:
+        raise IllegalDiscard("discard of no registers")
+    strange = sorted(repr(r) for r in registers if not isinstance(r, int))
+    if strange:
+        raise IllegalDiscard(f"discard registers {', '.join(strange)} are not integers")
+    outside = sorted(r for r in registers if not 0 <= r < s.n)
+    if outside:
+        raise IllegalDiscard(f"discard registers {outside} lie outside 0..{s.n - 1}")
+    key = (s.gens, registers)
+    completed = completions.get(key)
+    if completed is None:
+        added = complete_discard(s, registers)
+        grown = s
+        for op in added:
+            grown = grown.extend(op)
+        completed = completions[key] = added, grown
+    return *completed, registers
 
 
 def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
@@ -331,19 +345,7 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
                 f"strategy exceeded {2 * strategy.n} consultations"
             )
         step = strategy.next(history)
-        checked = _check_step(step, s)
-        if isinstance(step, Measure):
-            op = step.op
-            outcome = symplectic_product(op, hidden)
-            history = history.with_entry(op, outcome)
-            s = checked
-        elif isinstance(step, Discard):
-            for op in complete_discard(s, checked):
-                outcome = symplectic_product(op, hidden)
-                history = history.with_entry(op, outcome)
-                s = s.extend(op)
-            history = history.with_discard(checked)
-        elif isinstance(step, Finish):
+        if isinstance(step, Finish):
             correction = generic_correction(s, history, strategy.t, strategy.d)
             return Transcript(
                 history=history,
@@ -351,8 +353,11 @@ def simulate(strategy: Strategy, hidden: PauliVec) -> Transcript:
                 correction=correction,
                 k_out=s.logical_count(),
             )
-        else:
-            raise TypeError(f"strategy returned {step!r}, not a Step")
+        added, s, registers = _apply(step, s, {})
+        for op in added:
+            history = history.with_entry(op, symplectic_product(op, hidden))
+        if registers is not None:
+            history = history.with_discard(registers)
 
 
 def verify(strategy: Strategy) -> Report:
@@ -433,21 +438,7 @@ def _walk(
             if consultations > 2 * n:
                 raise NonTerminationError(f"strategy exceeded {2 * n} consultations")
             step = choose(history, s, reached)
-            checked = _check_step(step, s)
-            if isinstance(step, Measure):
-                added, grown = [step.op], checked
-            elif isinstance(step, Discard):
-                registers = checked
-                key = (s.gens, registers)
-                completed = completions.get(key)
-                if completed is None:
-                    added = complete_discard(s, registers)
-                    grown = s
-                    for op in added:
-                        grown = grown.extend(op)
-                    completed = completions[key] = added, grown
-                added, grown = completed
-            elif isinstance(step, Finish):
+            if isinstance(step, Finish):
                 reduce = s._rows.reduce
                 residues = {reduce(ones[i], twos[i]) for i in reached}
                 if len(residues) > 1:
@@ -456,7 +447,7 @@ def _walk(
                         " distinct cosets; finished too early"
                     )
             else:
-                raise TypeError(f"strategy returned {step!r}, not a Step")
+                added, grown, registers = _apply(step, s, completions)
         except ProtocolError as exc:
             reason = f"{type(exc).__name__}: {exc}"
             for i in reached:
@@ -482,7 +473,7 @@ def _walk(
                 for h, idx in branches
                 for outcome, part in split(op, idx)
             ]
-        if isinstance(step, Discard):
+        if registers is not None:
             branches = [(h.with_discard(registers), idx) for h, idx in branches]
         for h, idx in branches:
             heapq.heappush(frontier, (idx[0], consultations, h, grown, idx))

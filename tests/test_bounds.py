@@ -13,13 +13,11 @@ from prop_checks import (
 )
 
 from twep.bounds import (
-    bounds_csv,
     bounds_table,
     gv_k,
     hamming_max_k,
     mi_sequence,
     rate_table,
-    rates_csv,
     singleton_max_k,
     thm2_k,
 )
@@ -223,25 +221,6 @@ class TestNegativeT:
 
 
 class TestSerialization:
-    def test_bounds_csv_header_and_rows(self):
-        rows = bounds_table([9, 10], [2])
-        text = bounds_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "n,t,hamming_k,singleton_k,gv_k,thm2_k"
-        assert lines[1].startswith("9,2,-1,")
-        assert lines[2].startswith("10,2,1,")
-
-    def test_bounds_csv_blank_gv_when_undefined(self):
-        rows = bounds_table([3], [2])
-        line = bounds_csv(rows).splitlines()[1]
-        assert line.split(",")[4] == ""
-
-    def test_rates_csv_header(self):
-        text = rates_csv(rate_table(3))
-        lines = text.splitlines()
-        assert lines[0] == "x,rate_2epp,rate_gv"
-        assert lines[1] == "0.0,1.0,1.0"
-
     def test_grid_order_n_major(self):
         rows = bounds_table([5, 6], [1, 2])
         assert [(r.n, r.t) for r in rows] == [(5, 1), (5, 2), (6, 1), (6, 2)]

@@ -148,6 +148,18 @@ class TestBoundsCommand:
         assert lines[1].split(",")[:3] == ["9", "2", "-1"]
         assert lines[2].split(",")[:3] == ["10", "2", "1"]
 
+    def test_bounds_csv_header_and_rows(self, runner):
+        result = runner.invoke(main, ["bounds", "--n", "9..10", "--t", "2", "--format", "csv"])
+        lines = result.output.splitlines()
+        assert lines[0] == "n,t,hamming_k,singleton_k,gv_k,thm2_k"
+        assert lines[1].startswith("9,2,-1,")
+        assert lines[2].startswith("10,2,1,")
+
+    def test_bounds_csv_blank_gv_when_undefined(self, runner):
+        result = runner.invoke(main, ["bounds", "--n", "3", "--t", "2", "--format", "csv"])
+        line = result.output.splitlines()[1]
+        assert line.split(",")[4] == ""
+
     def test_json_default(self, runner):
         result = runner.invoke(main, ["bounds", "--n", "6", "--t", "1"])
         assert result.exit_code == 0
@@ -207,6 +219,12 @@ class TestRatesCommand:
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert len(lines) == 52
+        assert lines[1] == "0.0,1.0,1.0"
+
+    def test_rates_csv_header(self, runner):
+        result = runner.invoke(main, ["rates", "--points", "3", "--format", "csv"])
+        lines = result.output.splitlines()
+        assert lines[0] == "x,rate_2epp,rate_gv"
         assert lines[1] == "0.0,1.0,1.0"
 
     def test_json_fields(self, runner):
@@ -308,6 +326,35 @@ class TestGoldenStdout:
         golden = FIXTURES / "golden" / f"greedy_n{n}_t{t}.out"
         assert result.stdout_bytes == golden.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["nine-pair", "--error", "XIIIIIZII"], "nine-pair_XIIIIIZII"),
+            (["six-pair", "--error", "IIIIZI", "--two-party"], "six-pair_IIIIZI_two-party"),
+            (["hamming-m4", "--error", "IIIIIIIIIIIIIIY"], "hamming-m4_IIIIIIIIIIIIIIY"),
+            (["qutrit-four", "--error", "I,XZ2,I,I"], "qutrit-four_I-XZ2-I-I"),
+        ],
+    )
+    def test_simulate_through_a_discard(self, runner, args, name):
+        result = runner.invoke(main, ["simulate", *args])
+        assert result.exit_code == 0
+        golden = FIXTURES / "golden" / f"simulate_{name}.out"
+        assert result.stdout_bytes == golden.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["bounds", "--n", "1..12", "--t", "0..12"], "bounds_n1-12_t0-12"),
+            (["rates", "--points", "51"], "rates_p51"),
+            (["mi", "--count", "40"], "mi_c40"),
+        ],
+    )
+    def test_csv_table(self, runner, args, name):
+        result = runner.invoke(main, [*args, "--format", "csv"])
+        assert result.exit_code == 0
+        golden = FIXTURES / "golden" / f"{name}.csv"
+        assert result.stdout_bytes == golden.read_bytes()
+
 
 class TestSizeGates:
     @pytest.mark.parametrize(
@@ -347,9 +394,16 @@ class TestSizeGates:
             (["mi", "--count", str(10**12)], "the limit is 128 MB"),
             (["bounds", "--n", "1..36000", "--t", "0..1"], "bounds over 72000 rows"),
             (["bounds", "--n", f"1..{10**9}", "--t", f"0..{10**9}"], "500000001500000000 rows"),
-            (["bounds", "--n", str(10**6), "--t", "0..20000"], "20001 rows needs about 1781 MB"),
+            (["bounds", "--n", str(10**6), "--t", "0..20000"], "20001 rows needs about 1782 MB"),
+            (
+                ["bounds", "--n", f"{10**3000}..{10**3000 + 1199}", "--t", "0..1"],
+                "bounds over 2400 rows needs about 163 MB",
+            ),
         ],
-        ids=["rates", "rates-far", "mi", "mi-far", "bounds", "bounds-far", "bounds-counts"],
+        ids=[
+            "rates", "rates-far", "mi", "mi-far", "bounds", "bounds-far", "bounds-counts",
+            "bounds-wide-n",
+        ],
     )
     def test_a_table_past_its_limit_exits_two_before_building(self, runner, args, message):
         """The whole table is built before printing, so its estimated peak

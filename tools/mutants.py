@@ -51,6 +51,8 @@ class Mutant:
 
 KERNELS = "src/twep/_kernels.py"
 STABILIZER = "src/twep/stabilizer.py"
+ENGINE = "src/twep/engine.py"
+CLI = "src/twep/cli.py"
 DISTANCE_TESTS = ("tests/test_reducer.py", "tests/test_stabilizer.py")
 SPLITTER_TESTS = ("tests/test_splitter.py",)
 
@@ -155,7 +157,7 @@ MUTANTS = (
     ),
     Mutant(
         "walk-puts-every-qubit-error-in-part-0",
-        "src/twep/engine.py",
+        ENGINE,
         "parts[(u1 & ones[i]).bit_count() & 1].append(i)",
         "parts[0].append(i)",
         ("tests/test_engine.py",),
@@ -178,8 +180,43 @@ MUTANTS = (
         "up to f is rejected again and the next pick is the same",
     ),
     Mutant(
+        "discard-completion-drops-its-last-pick",
+        STABILIZER,
+        "            return added\n",
+        "            return added[:-1]\n",
+        ("tests/test_stabilizer.py",),
+    ),
+    Mutant(
+        "walk-completes-a-discard-once-per-stabilizer",
+        ENGINE,
+        "    key = (s.gens, registers)\n",
+        "    key = s.gens\n",
+        ("tests/test_walk.py",),
+    ),
+    Mutant(
+        "discard-records-no-registers",
+        ENGINE,
+        "    return *completed, registers\n",
+        "    return *completed, None\n",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "greedy-finishes-at-two-survivors",
+        "src/twep/synth.py",
+        "if len(rows) < 2 or",
+        "if len(rows) < 3 or",
+        ("tests/test_synth.py",),
+    ),
+    Mutant(
+        "table-csv-prints-none",
+        CLI,
+        '"" if v is None else repr(v)',
+        "repr(v)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "table-json-prints-none",
-        "src/twep/cli.py",
+        CLI,
         '"null" if v is None else repr(v)',
         "repr(v)",
         ("tests/test_cli.py",),
