@@ -31,6 +31,25 @@ BYTES_PER_ERROR = 768
 MAX_WALK_BYTES = 1 << 27
 
 
+def _size_text(size: int) -> str:
+    """size in decimal or, past Python's int-to-text limit, as 2^k <= size."""
+    try:
+        return str(size)
+    except ValueError:
+        return f"at least 2^{size.bit_length() - 1}"
+
+
+def check_budget(estimate: int, what: str, *sizes: int) -> int:
+    """Return estimate, the bytes some work holds, or raise SizeLimitError
+    if it exceeds MAX_WALK_BYTES: every size gate on memory refuses through
+    here.  ``what`` names the work, with a ``{}`` for each of ``sizes``."""
+    if estimate > MAX_WALK_BYTES:
+        what, mb = what.format(*map(_size_text, sizes)), _size_text(estimate >> 20)
+        limit = MAX_WALK_BYTES >> 20
+        raise SizeLimitError(f"{what} needs about {mb} MB; the limit is {limit} MB")
+    return estimate
+
+
 @dataclass(frozen=True)
 class ErrorSet:
     """Distinct candidate errors on n registers of dimension d."""
@@ -67,18 +86,12 @@ def count_errors(n: int, t: int, d: int = 2) -> int:
 
 def check_size(n: int, t: int, d: int = 2) -> int:
     """The bytes a verification walk over the errors of weight <= t on n
-    registers holds, estimated from |E|, n and d.  Raise SizeLimitError
-    before anything is built if the estimate exceeds MAX_WALK_BYTES: this
-    is the one size gate on an enumeration."""
+    registers holds, estimated from |E|, n and d, through ``check_budget``:
+    the one size gate on an enumeration, raised before anything is built."""
     total = count_errors(n, t, d)
     row_bytes = (3 if d == 2 else 6) * -(-n // 8)
     estimate = total * (BYTES_PER_ERROR + row_bytes)
-    if estimate > MAX_WALK_BYTES:
-        raise SizeLimitError(
-            f"enumeration of {total} errors on {n} registers needs about"
-            f" {estimate >> 20} MB; the limit is {MAX_WALK_BYTES >> 20} MB"
-        )
-    return estimate
+    return check_budget(estimate, "enumeration of {} errors on {} registers", total, n)
 
 
 def enumerate_errors(n: int, t: int, d: int = 2) -> ErrorSet:
@@ -151,17 +164,10 @@ def coset_classes(errors: ErrorSet, s: StabilizerSet) -> CosetPartition:
     if errors.d != s.d or errors.n != s.n:
         raise ValueError("error set does not match the stabilizer")
     buckets: dict[int, list[PauliVec]] = {}
-    order: list[int] = []
     for e in errors.members:
-        key = s.residue(e)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(e)
-    classes = tuple(tuple(buckets[k]) for k in order)
-    reps = tuple(
-        min(cls, key=lambda p: (weight(p), canonical_key(p))) for cls in classes
-    )
+        buckets.setdefault(s.residue(e), []).append(e)
+    classes = tuple(map(tuple, buckets.values()))
+    reps = tuple(min(c, key=lambda p: (weight(p), canonical_key(p))) for c in classes)
     return CosetPartition(classes, reps)
 
 

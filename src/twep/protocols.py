@@ -6,8 +6,9 @@ its discard has run.  A plan reads nothing but the outcomes, so replaying a
 history always reproduces the step.  The fixed protocols (six-pair,
 nine-pair, qutrit-four) share the plan ``_fixed``: measure an operator
 tuple, then discard the block the outcomes point to.  The hamming family's
-plan bisects.  None of the strategies owns a syndrome lookup table: the
-engine corrects with a surviving candidate error.
+plan bisects, gated by ``check_size`` before it builds an operator.  No
+strategy owns a syndrome lookup table: the engine corrects with a
+surviving candidate error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .engine import Discard, Finish, History, Measure, Step, Strategy
+from .errorspace import check_size
 from .pauli import PauliVec, _from_planes, parse
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -74,10 +76,13 @@ def hamming_family(m: int) -> Strategy:
     outright; the all-ones index is absent, so all-clear means no error.
     The plan replays the bisection on the interval's two ends, so a step
     costs one pass over the outcomes plus the operator it returns.
+    Raises SizeLimitError before building for m >= 14: its walk passes the
+    memory budget.
     """
     if m < 3:
         raise ValueError("hamming_family needs m >= 3 (smaller m certifies 0 pairs)")
     n = 2**m - 1
+    check_size(n, 1, 2)
     all_x = _x_over(n, range(n))
     z_checks = tuple(
         _z_over(n, [p for p in range(n) if not (p >> (m - 1 - i)) & 1])

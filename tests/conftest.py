@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from twep.pauli import parse
@@ -22,3 +24,13 @@ def four_qubit_code() -> StabilizerSet:
 @pytest.fixture
 def qutrit_code() -> StabilizerSet:
     return StabilizerSet(3, 3, [parse("X,X,X", 3), parse("Z,Z,Z", 3)])
+
+
+@pytest.fixture
+def default_int_digits():
+    """Python's default limit of 4,300 digits on converting between int and
+    text, whatever the environment sets."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -13,8 +13,10 @@ from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from twep import cli
 from twep.bounds import bounds_table, rate_table
 from twep.cli import _grid, main
+from twep.stabilizer import SizeLimitError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -148,13 +150,6 @@ class TestBoundsCommand:
         assert lines[1].split(",")[:3] == ["9", "2", "-1"]
         assert lines[2].split(",")[:3] == ["10", "2", "1"]
 
-    def test_bounds_csv_header_and_rows(self, runner):
-        result = runner.invoke(main, ["bounds", "--n", "9..10", "--t", "2", "--format", "csv"])
-        lines = result.output.splitlines()
-        assert lines[0] == "n,t,hamming_k,singleton_k,gv_k,thm2_k"
-        assert lines[1].startswith("9,2,-1,")
-        assert lines[2].startswith("10,2,1,")
-
     def test_bounds_csv_blank_gv_when_undefined(self, runner):
         result = runner.invoke(main, ["bounds", "--n", "3", "--t", "2", "--format", "csv"])
         line = result.output.splitlines()[1]
@@ -188,6 +183,26 @@ class TestBoundsCommand:
     def test_malformed_range_exits_two(self, runner):
         result = runner.invoke(main, ["bounds", "--n", "5...9", "--t", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n_range", ["1..x", "5..3"])
+    def test_malformed_range_is_named(self, runner, n_range):
+        result = runner.invoke(main, ["bounds", "--n", n_range, "--t", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"malformed range {n_range!r}; expected N or LO..HI\n"
+
+    @pytest.mark.parametrize(
+        "n_range", ["1" + "0" * 4400, "1..1" + "0" * 4400], ids=["end", "range"]
+    )
+    def test_a_range_end_past_the_int_digit_limit_is_a_size_error(
+        self, runner, default_int_digits, n_range
+    ):
+        """A well-formed end that Python refuses to read for its length
+        names the limit in one line and does not echo its digits."""
+        result = runner.invoke(main, ["bounds", "--n", n_range, "--t", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "a range end passes Python's limit of 4300 digits on an int\n"
 
     @pytest.mark.parametrize("t_range", ["-1", "-2..-1"])
     def test_negative_t_only_is_an_empty_grid(self, runner, t_range):
@@ -449,6 +464,59 @@ class TestSizeGates:
         assert result.exit_code == 0
         last = result.stdout.splitlines()[-1].split(",")[1]
         assert len(last) > 640
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["verify", "hamming", "--m", "14300"],
+                "enumeration of at least 2^14301 errors on at least 2^14299 registers"
+                " needs about at least 2^28580 MB; the limit is 128 MB",
+            ),
+            (
+                ["simulate", "hamming", "--m", "14300", "--error", "X"],
+                "on at least 2^14299 registers",
+            ),
+            (["verify", "hamming", "--m", "1000000"], "on at least 2^999999 registers"),
+            (
+                ["bounds", "--n", f"1..{10**4299}", "--t", f"0..{10**4299}"],
+                "bounds over at least 2^28560 rows needs about at least 2^28557 MB",
+            ),
+            (["mi", "--count", str(10**2200)], f"mi over {10**2200} terms needs about at least"),
+        ],
+        ids=["verify-m14300", "simulate-m14300", "verify-m1000000", "bounds-huge", "mi-huge"],
+    )
+    def test_a_size_past_the_int_digit_limit_is_a_power_of_two_bound(
+        self, runner, default_int_digits, args, message
+    ):
+        """Python refuses to write an int of more than 4,300 digits as text;
+        such a size reads as the power of two it is at least."""
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
+
+    def test_a_size_refusal_from_any_command_is_one_line(self, runner, monkeypatch):
+        def refuse(*args):
+            raise SizeLimitError("refused")
+
+        monkeypatch.setattr(cli.protocols, "get", refuse)
+        result = runner.invoke(main, ["simulate", "six-pair", "--error", "IIIIII"])
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", "refused\n")
+
+    def test_other_faults_keep_their_traceback(self, runner, monkeypatch):
+        """The CLI turns only SizeLimitError into exit 2."""
+
+        def fault(*args):
+            raise ValueError("not a size")
+
+        monkeypatch.setattr(cli, "engine_verify", fault)
+        result = runner.invoke(main, ["verify", "six-pair"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
 
     @pytest.mark.parametrize("n, t", [(0, 0), (-1, 0), (3, 5), (3, -1)])
     def test_bad_greedy_parameters_exit_two(self, runner, n, t):

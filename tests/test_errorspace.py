@@ -19,6 +19,7 @@ from twep.errorspace import (
     MAX_WALK_BYTES,
     ErrorSet,
     base_errors,
+    check_budget,
     check_size,
     coset_classes,
     count_errors,
@@ -61,6 +62,29 @@ class TestCounting:
         monkeypatch.setattr(errorspace, "_from_planes", built)
         with pytest.raises(SizeLimitError, match="^enumeration of 49150 errors "):
             enumerate_errors(2**14 - 1, 1)
+
+    def test_budget_admits_its_limit_and_refuses_past_it(self):
+        assert check_budget(MAX_WALK_BYTES, "work") == MAX_WALK_BYTES
+        with pytest.raises(SizeLimitError, match="^work needs about 128 MB; the limit is 128 MB$"):
+            check_budget(MAX_WALK_BYTES + 1, "work")
+
+    def test_a_size_past_the_int_digit_limit_is_a_power_of_two_bound(
+        self, default_int_digits
+    ):
+        """Python refuses to write an int of more than 4,300 digits as text;
+        the message then gives a true lower bound."""
+        with pytest.raises(SizeLimitError) as short:
+            check_budget(1 << 100, "of {} and {}", 10**4299, 10**4300)
+        assert str(short.value) == (
+            f"of {10**4299} and at least 2^14284 needs about {2**80} MB;"
+            " the limit is 128 MB"
+        )
+        assert 2**14284 <= 10**4300 < 2**14285
+        with pytest.raises(SizeLimitError) as wide:
+            check_size(2**14300 - 1, 1)
+        assert str(wide.value).startswith(
+            "enumeration of at least 2^14301 errors on at least 2^14299 registers"
+        )
 
     def test_walk_gate_admits_hamming_m13_and_rejects_m14(self):
         check_size(2**12 - 1, 1)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
 from prop_checks import recorded_tree, tree_text
 
+from twep import protocols
 from twep.bounds import hamming_max_k, singleton_max_k
 from twep.engine import simulate, verify
-from twep.errorspace import enumerate_errors
+from twep.errorspace import check_size, enumerate_errors
 from twep.pauli import parse, render
 from twep.protocols import (
     get,
@@ -19,6 +21,7 @@ from twep.protocols import (
     qutrit_four,
     six_pair,
 )
+from twep.stabilizer import SizeLimitError
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 WIDE_HAMMING = {"hamming-m6": 6, "hamming-m7": 7}
@@ -58,6 +61,23 @@ class TestHammingFamily:
     def test_rejects_degenerate_size(self):
         with pytest.raises(ValueError):
             hamming_family(2)
+
+    @pytest.mark.parametrize("m", [14, 20])
+    def test_refuses_a_walk_past_the_budget_before_building(self, monkeypatch, m):
+        """The family gates itself, with ``check_size``'s message, before it
+        builds an operator on 2^m - 1 pairs."""
+
+        def built(*args):
+            raise AssertionError("an operator was built")
+
+        monkeypatch.setattr(protocols, "_from_planes", built)
+        with pytest.raises(SizeLimitError) as refused:
+            check_size(2**m - 1, 1, 2)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as family:
+            hamming_family(m)
+        assert time.perf_counter() - start < 1.0
+        assert str(family.value) == str(refused.value)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_at_most_m_plus_one_measurements_before_discard(self, m):

@@ -88,6 +88,14 @@ class TestChooseGenerator:
         with pytest.raises(NoSeparatorError):
             choose_generator(s, errors)
 
+    def test_full_rank_stabilizer_leaves_nothing_to_measure(self):
+        """II and ZI lie in distinct cosets of <XI, IX>, which has no
+        complement left to measure."""
+        s = StabilizerSet(2, 2, [parse("XI", 2), parse("IX", 2)])
+        errors = ErrorSet(2, 2, (parse("II", 2), parse("ZI", 2)))
+        with pytest.raises(NoSeparatorError, match="full rank"):
+            choose_generator(s, errors)
+
     def test_coset_equivalent_errors_need_no_separator(self):
         s = StabilizerSet(2, 2, [parse("XX", 2)])
         errors = ErrorSet(2, 2, (parse("II", 2), parse("XX", 2)))

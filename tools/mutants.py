@@ -53,6 +53,7 @@ KERNELS = "src/twep/_kernels.py"
 STABILIZER = "src/twep/stabilizer.py"
 ENGINE = "src/twep/engine.py"
 CLI = "src/twep/cli.py"
+ERRORSPACE = "src/twep/errorspace.py"
 DISTANCE_TESTS = ("tests/test_reducer.py", "tests/test_stabilizer.py")
 SPLITTER_TESTS = ("tests/test_splitter.py",)
 
@@ -220,6 +221,35 @@ MUTANTS = (
         '"null" if v is None else repr(v)',
         "repr(v)",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-reports-no-size-refusal",
+        CLI,
+        "        except SizeLimitError as exc:\n",
+        "        except () as exc:\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "hamming-family-builds-before-gating",
+        "src/twep/protocols.py",
+        "    check_size(n, 1, 2)\n",
+        "",
+        ("tests/test_protocols.py",),
+    ),
+    Mutant(
+        "size-text-drops-the-large-size-fallback",
+        ERRORSPACE,
+        "    try:\n        return str(size)\n    except ValueError:\n"
+        "        return f\"at least 2^{size.bit_length() - 1}\"\n",
+        "    return str(size)\n",
+        ("tests/test_errorspace.py",),
+    ),
+    Mutant(
+        "budget-refuses-at-the-limit",
+        ERRORSPACE,
+        "    if estimate > MAX_WALK_BYTES:\n",
+        "    if estimate >= MAX_WALK_BYTES:\n",
+        ("tests/test_errorspace.py",),
     ),
     Mutant(
         "layer-changes-compare-the-means",
