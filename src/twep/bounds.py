@@ -1,13 +1,15 @@
 """Closed-form coding bounds, the adaptive-protocol guarantee, and rate curves.
 
 Everything integer-valued here is computed with exact big-integer
-arithmetic; the only floating point is in the asymptotic rate table.  The
-tables are rows of values, which the command-line front end formats.
+arithmetic; the only floating point is in the asymptotic rate table.  Each
+table is a generator of rows of values, which the command-line front end
+formats as they come; the list function beside it collects them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errorspace import count_errors, error_counts
@@ -72,8 +74,9 @@ def thm2_k(n: int, t: int) -> int:
     return _thm2_k(n, count_errors(n, t, 2))
 
 
-def mi_sequence(length: int) -> list[int]:
-    """Worst-case survivor-count thresholds for the greedy bisection.
+def mi_terms(length: int) -> Iterator[int]:
+    """Worst-case survivor-count thresholds for the greedy bisection, one
+    term at a time.
 
     m_0 = 1 and m_i is the largest integer m with (m + sqrt(m))/2 at most
     m_{i-1} + 1.  The square root is eliminated: with B = 2 m_{i-1} + 2 the
@@ -84,14 +87,20 @@ def mi_sequence(length: int) -> list[int]:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    seq = [1]
-    while len(seq) < length:
-        bound = 2 * seq[-1] + 2
+    term = 1
+    yield term
+    for _ in range(length - 1):
+        bound = 2 * term + 2
         s = math.isqrt(bound)
         if s * (s + 1) < bound:
             s += 1
-        seq.append(bound - s)
-    return seq
+        term = bound - s
+        yield term
+
+
+def mi_sequence(length: int) -> list[int]:
+    """The first ``length`` terms of ``mi_terms``."""
+    return list(mi_terms(length))
 
 
 def binary_entropy(x: float) -> float:
@@ -121,21 +130,22 @@ class RatePoint:
     h: float
 
 
-def rate_table(points: int) -> list[RatePoint]:
+def rate_points(points: int) -> Iterator[RatePoint]:
     """Evenly spaced samples of the two rate curves on [0, 1/2], clamped to
     [0, 1]: the adaptive two-way rate 1 - x log2 3 - h(x) and the one-way
     existence rate 1 - 2x log2 3 - h(2x)."""
     if points < 2:
         raise ValueError("points must be >= 2")
-    table = []
     for i in range(points):
         x = 0.5 * i / (points - 1)
         r2 = min(1.0, max(0.0, two_way_rate_raw(x)))
         rg = min(1.0, max(0.0, one_way_gv_rate_raw(x)))
-        table.append(
-            RatePoint(x=x, rate_2epp=r2, rate_gv=rg, h=binary_entropy(x))
-        )
-    return table
+        yield RatePoint(x=x, rate_2epp=r2, rate_gv=rg, h=binary_entropy(x))
+
+
+def rate_table(points: int) -> list[RatePoint]:
+    """The samples of ``rate_points``."""
+    return list(rate_points(points))
 
 
 @dataclass(frozen=True)
@@ -150,23 +160,23 @@ class BoundsRow:
     thm2_k: int
 
 
-def bounds_table(n_values: list[int], t_values: list[int]) -> list[BoundsRow]:
+def bounds_rows(n_values: Sequence[int], t_values: Sequence[int]) -> Iterator[BoundsRow]:
     """Grid of bounds over 0 <= t <= n, n-major then t-minor order.  The
     error counts of each n are summed once, up to weight min(n, 2 max t)."""
-    rows = []
     for n in n_values:
         ts = [t for t in t_values if 0 <= t <= n]
         counts = error_counts(n, min(n, 2 * max(ts, default=0)))
         for t in ts:
-            rows.append(
-                BoundsRow(
-                    n=n,
-                    t=t,
-                    hamming_k=_hamming_k(n, counts[t]),
-                    singleton_k=singleton_max_k(n, t),
-                    gv_k=_gv_k(n, counts[2 * t]) if 2 * t <= n else None,
-                    thm2_k=_thm2_k(n, counts[t]),
-                )
+            yield BoundsRow(
+                n=n,
+                t=t,
+                hamming_k=_hamming_k(n, counts[t]),
+                singleton_k=singleton_max_k(n, t),
+                gv_k=_gv_k(n, counts[2 * t]) if 2 * t <= n else None,
+                thm2_k=_thm2_k(n, counts[t]),
             )
-    return rows
 
+
+def bounds_table(n_values: list[int], t_values: list[int]) -> list[BoundsRow]:
+    """The rows of ``bounds_rows``."""
+    return list(bounds_rows(n_values, t_values))

@@ -3,15 +3,21 @@
 Structured results go to stdout, diagnostics to stderr, so pipelines can
 consume reports directly.  Exit codes: 0 success, 1 verification or
 property failure, 2 usage and size errors; ``main`` reports a size
-refusal (SizeLimitError) from any command as one stderr line.  Identical
-invocations produce byte-identical output.
+refusal (SizeLimitError) from any command as one stderr line.  The table
+commands write each row as they compute it, after a gate on a bound of
+the text they would write.  Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
+from dataclasses import fields
+from itertools import islice
 from operator import mul
 
 import click
@@ -30,15 +36,24 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-def _emit(text: str, output: str | None):
+def _emit(chunks: Iterator[str], output: str | None):
+    """Write the chunks, none empty, to the --output file, or to stdout, as
+    they come, 64 to a write."""
+    batches = iter(lambda: "".join(islice(chunks, 64)), "")
     if output:
         try:
             with open(output, "w") as handle:
-                handle.write(text)
+                handle.writelines(batches)
         except OSError as exc:
             _fail(f"cannot write --output {output!r}: {exc.strerror}", 2)
-    else:
-        click.echo(text, nl=False)
+        return
+    try:
+        sys.stdout.writelines(batches)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does: that is no
+        # failure.  Python's flush at exit then writes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _get_protocol(name: str, m: int | None = None) -> Strategy:
@@ -57,6 +72,30 @@ def _get_protocol(name: str, m: int | None = None) -> Strategy:
         _fail(f"unknown protocol {name!r}; valid names: {names}", 2)
 
 
+def _refuse_long_ints(what: str, *texts: str):
+    """Called when ``int`` has refused one of texts: raise SizeLimitError
+    naming what if every text is a well-formed integer, which ``int`` then
+    refused only for its length."""
+    if all(re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text) for text in texts):
+        limit = f"Python's limit of {sys.get_int_max_str_digits()} digits"
+        raise SizeLimitError(f"{what} passes {limit} on an int") from None
+
+
+class _Int(click.types.IntParamType):
+    """click's INT, except that an integer ``int`` refuses for its length
+    is a size error, as a range end is."""
+
+    def convert(self, value, param, ctx):
+        try:
+            return super().convert(value, param, ctx)
+        except click.BadParameter:
+            _refuse_long_ints(f"--{param.name}", value)
+            raise
+
+
+_INT = _Int()
+
+
 def _parse_range(text: str) -> range:
     """N or LO..HI; an integer end that ``int`` refuses for its length is
     a size error."""
@@ -66,25 +105,8 @@ def _parse_range(text: str) -> range:
         if lo <= hi:
             return range(lo, hi + 1)
     except ValueError:
-        if all(re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", end) for end in ends):
-            limit = f"Python's limit of {sys.get_int_max_str_digits()} digits"
-            raise SizeLimitError(f"a range end passes {limit} on an int") from None
+        _refuse_long_ints("a range end", *ends)
     _fail(f"malformed range {text!r}; expected N or LO..HI", 2)
-
-
-# The table commands build their whole output before printing it.  Peak RSS
-# (VmHWM) above an interpreter that has imported twep, Python 3.11, in the
-# larger of the two formats: rates 807 bytes a point at 9 * 10^4 points and
-# bounds 912 bytes a row on n = 1..30,000, t = 0..1, 2,451 near n = 10^100,
-# 17,703 near 10^1000, 63,674 near 10^3000 and 69,522 near 10^4000 (2,400
-# rows; near 10^3000 it reads 52,300 or 63,600 with the size of the
-# environment), so up to 6.2 more per bit of n, plus the error counts of
-# the widest n (JSON; CSV 374, 443, 2,107, 17,366, 51,991 and 69,198); mi
-# 0.53 bytes per count^2 at counts 8,000 and 12,000 (CSV), since m_i has
-# about i bits.  The estimates below round these up and share the walk's
-# budget.
-_POINT_BYTES = 1408
-_ROW_BYTES = 1792
 
 
 def _grid(n_range: str, t_range: str) -> tuple[range, range, int]:
@@ -111,28 +133,48 @@ def _counts_bytes(n: int, top: int) -> int:
     return (top + 1) * (min(bits, 2 * n + 1) // 7 + 40)
 
 
-def _json_rows(rows: list) -> str:
+def _template(cls) -> str:
+    """The indented JSON object of a row of the dataclass cls, with a
+    ``%s`` for each value."""
+    lines = ",\n".join(f"    {json.dumps(field.name)}: %s" for field in fields(cls))
+    return "  {\n" + lines + "\n  }"
+
+
+def _joined(items: Iterable[str], first: str, sep: str, last: str) -> Iterator[str]:
+    """first, the items with sep between them, then last, one item at a
+    time; there is at least one item."""
+    for item in items:
+        yield first + item
+        first = sep
+    yield last
+
+
+def _json_rows(rows: Iterable, cls) -> Iterator[str]:
     """``json.dumps(list(map(vars, rows)), indent=2)`` plus a newline, byte
-    for byte, written directly: the indenting encoder is pure Python.  The
-    rows are dataclasses of one type whose values are ints, finite floats
-    or None; ``json`` prints an int or a float as its ``repr``."""
-    if not rows:
-        return "[]\n"
-    fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in vars(rows[0]))
-    template = "  {\n" + fields + "\n  }"
-    body = ",\n".join(
+    for byte: the indenting encoder is pure Python.  The rows are of the
+    dataclass cls, and their values are ints, finite floats or None;
+    ``json`` prints an int or a float as its ``repr``."""
+    template = _template(cls)
+    objects = (
         template % tuple("null" if v is None else repr(v) for v in vars(row).values())
         for row in rows
     )
-    return "[\n" + body + "\n]\n"
+    return _joined(objects, "[\n", ",\n", "\n]\n")
 
 
-def _csv(header: str, rows) -> str:
+def _csv(header: str, rows) -> Iterator[str]:
     """The header line, then one line per row of values: None as an empty
     cell, every other value as its ``repr``."""
-    lines = [header]
-    lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    yield header + "\n"
+    for row in rows:
+        yield ",".join("" if v is None else repr(v) for v in row) + "\n"
+
+
+def _json_bytes(cls, rows: int, width: int) -> int:
+    """The bytes ``_json_rows`` writes at most for rows of cls whose values
+    print in at most width characters: "[\\n" or ",\\n" and the template
+    per row, less 2 per ``%s``, then "\\n]\\n"."""
+    return 3 + rows * (2 + len(_template(cls)) + len(fields(cls)) * (width - 2))
 
 
 class _Group(click.Group):
@@ -152,7 +194,7 @@ def main():
 
 @main.command()
 @click.argument("protocol")
-@click.option("--m", "m", type=int, default=None, help="family size for 'hamming'")
+@click.option("--m", "m", type=_INT, default=None, help="family size for 'hamming'")
 def verify(protocol: str, m: int | None):
     """Exhaustively verify a registered protocol."""
     report = engine_verify(_get_protocol(protocol, m))
@@ -163,7 +205,7 @@ def verify(protocol: str, m: int | None):
 @main.command()
 @click.argument("protocol")
 @click.option("--error", "error_text", required=True, help="hidden error, Pauli text")
-@click.option("--m", "m", type=int, default=None, help="family size for 'hamming'")
+@click.option("--m", "m", type=_INT, default=None, help="family size for 'hamming'")
 @click.option("--two-party", is_flag=True, help="render per-party outcome columns")
 def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
     """Run one protocol execution against a chosen hidden error."""
@@ -191,8 +233,8 @@ def simulate(protocol: str, error_text: str, m: int | None, two_party: bool):
 
 
 @main.command()
-@click.option("--n", "n", type=int, required=True)
-@click.option("--t", "t", type=int, required=True)
+@click.option("--n", "n", type=_INT, required=True)
+@click.option("--t", "t", type=_INT, required=True)
 def greedy(n: int, t: int):
     """Synthesize the greedy strategy for (n, t) and verify it exhaustively."""
     if n < 1 or not 0 <= t <= n:
@@ -218,57 +260,64 @@ def bounds(n_range: str, t_range: str, fmt: str, output: str | None):
     ns, ts, count = _grid(n_range, t_range)
     if not count:
         _fail("empty grid: no (n, t) with 0 <= t <= n", 2)
+    # The text of the longer format, JSON, and the widest n's error counts:
+    # a value is null or an int of magnitude at most n + 2 (thm2_k at t = n).
     n = ns[-1]
-    estimate = count * (_ROW_BYTES + 7 * n.bit_length())
+    estimate = _json_bytes(bounds_mod.BoundsRow, count, max(4, len(str(n)) + 2))
     estimate += _counts_bytes(n, min(n, 2 * ts[-1]))
     check_budget(estimate, "bounds over {} rows", count)
-    rows = bounds_mod.bounds_table(ns, ts)
+    rows = bounds_mod.bounds_rows(ns, ts)
     if fmt == "csv":
         header = "n,t,hamming_k,singleton_k,gv_k,thm2_k"
         _emit(_csv(header, (vars(r).values() for r in rows)), output)
     else:
-        _emit(_json_rows(rows), output)
+        _emit(_json_rows(rows, bounds_mod.BoundsRow), output)
 
 
 @main.command()
-@click.option("--points", type=int, required=True)
+@click.option("--points", type=_INT, required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--output", type=click.Path(), default=None)
 def rates(points: int, fmt: str, output: str | None):
     """Sample the asymptotic rate curves."""
     if points < 2:
         _fail("--points must be at least 2", 2)
-    check_budget(points * _POINT_BYTES, "rates over {} points", points)
-    table = bounds_mod.rate_table(points)
+    # The text of the longer format, JSON: a float's repr has at most 24 characters.
+    check_budget(_json_bytes(bounds_mod.RatePoint, points, 24), "rates over {} points", points)
+    table = bounds_mod.rate_points(points)
     if fmt == "csv":
         rows = ((p.x, p.rate_2epp, p.rate_gv) for p in table)
         _emit(_csv("x,rate_2epp,rate_gv", rows), output)
     else:
-        _emit(_json_rows(table), output)
+        _emit(_json_rows(table, bounds_mod.RatePoint), output)
 
 
 @main.command()
-@click.option("--count", type=int, required=True)
+@click.option("--count", type=_INT, required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--output", type=click.Path(), default=None)
 def mi(count: int, fmt: str, output: str | None):
     """Print the greedy shrinkage threshold sequence."""
     if count < 1:
         _fail("--count must be at least 1", 2)
-    check_budget(count * count * 9 // 16, "mi over {} terms", count)
-    seq = bounds_mod.mi_sequence(count)
+    # The text of the longer format, CSV: "i,mi\n", then line i holds i < count
+    # and m_i <= 2^i, of at most floor(i log10 2) + 1 digits, which sum to at
+    # most count + floor(C(count, 2) log10 2).
+    digits = count + count * (count - 1) // 2 * 30103 // 100000
+    check_budget(5 + count * (len(str(count)) + 2) + digits, "mi over {} terms", count)
+    terms = bounds_mod.mi_terms(count)
+    if fmt == "csv":
+        chunks = _csv("i,mi", enumerate(terms))
+    else:
+        chunks = _joined(map(str, terms), "[", ", ", "]\n")
     # m_i has about i bits; print every digit, past Python's default limit
     # of 4,300 on converting an int to text.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if fmt == "csv":
-            text = _csv("i,mi", enumerate(seq))
-        else:
-            text = json.dumps(seq) + "\n"
+        _emit(chunks, output)
     finally:
         sys.set_int_max_str_digits(limit)
-    _emit(text, output)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .engine import Discard, Finish, History, Measure, Step, Strategy
-from .errorspace import check_size
+from .errorspace import check_budget, check_size
 from .pauli import PauliVec, _from_planes, parse
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -77,10 +77,11 @@ def hamming_family(m: int) -> Strategy:
     The plan replays the bisection on the interval's two ends, so a step
     costs one pass over the outcomes plus the operator it returns.
     Raises SizeLimitError before building for m >= 14: its walk passes the
-    memory budget.
+    memory budget, and past about 2^30 the pair count itself does.
     """
     if m < 3:
         raise ValueError("hamming_family needs m >= 3 (smaller m certifies 0 pairs)")
+    check_budget(m // 8, "the pair count 2^{} - 1", m)
     n = 2**m - 1
     check_size(n, 1, 2)
     all_x = _x_over(n, range(n))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import time
 from itertools import product
@@ -13,9 +15,11 @@ from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import twep
 from twep import cli
 from twep.bounds import bounds_table, rate_table
 from twep.cli import _grid, main
+from twep.errorspace import check_budget
 from twep.stabilizer import SizeLimitError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -403,16 +407,16 @@ class TestSizeGates:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["rates", "--points", "95326"], "rates over 95326 points needs about 128 MB"),
+            (["rates", "--points", "828505"], "rates over 828505 points needs about 128 MB"),
             (["rates", "--points", str(10**12)], "the limit is 128 MB"),
-            (["mi", "--count", "15447"], "mi over 15447 terms needs about 128 MB"),
+            (["mi", "--count", "29836"], "mi over 29836 terms needs about 128 MB"),
             (["mi", "--count", str(10**12)], "the limit is 128 MB"),
-            (["bounds", "--n", "1..36000", "--t", "0..1"], "bounds over 72000 rows"),
+            (["bounds", "--n", "1..453438", "--t", "0..1"], "bounds over 906876 rows"),
             (["bounds", "--n", f"1..{10**9}", "--t", f"0..{10**9}"], "500000001500000000 rows"),
-            (["bounds", "--n", str(10**6), "--t", "0..20000"], "20001 rows needs about 1782 MB"),
+            (["bounds", "--n", str(10**6), "--t", "0..20000"], "20001 rows needs about 1748 MB"),
             (
-                ["bounds", "--n", f"{10**3000}..{10**3000 + 1199}", "--t", "0..1"],
-                "bounds over 2400 rows needs about 163 MB",
+                ["bounds", "--n", f"{10**3000}..{10**3000 + 3703}", "--t", "0..1"],
+                "bounds over 7408 rows needs about 128 MB",
             ),
         ],
         ids=[
@@ -421,8 +425,8 @@ class TestSizeGates:
         ],
     )
     def test_a_table_past_its_limit_exits_two_before_building(self, runner, args, message):
-        """The whole table is built before printing, so its estimated peak
-        memory is gated like a walk's."""
+        """A table writes its rows as it computes them; the bound on the
+        text it would write is gated like a walk's memory."""
         start = time.perf_counter()
         result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0
@@ -480,7 +484,7 @@ class TestSizeGates:
             (["verify", "hamming", "--m", "1000000"], "on at least 2^999999 registers"),
             (
                 ["bounds", "--n", f"1..{10**4299}", "--t", f"0..{10**4299}"],
-                "bounds over at least 2^28560 rows needs about at least 2^28557 MB",
+                "bounds over at least 2^28560 rows needs about at least 2^28555 MB",
             ),
             (["mi", "--count", str(10**2200)], f"mi over {10**2200} terms needs about at least"),
         ],
@@ -518,12 +522,166 @@ class TestSizeGates:
         assert result.exit_code == 1
         assert isinstance(result.exception, ValueError)
 
+    def test_a_huge_hamming_m_is_refused_before_its_pair_count(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "hamming", "--m", str(10**12)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert f"the pair count 2^{10**12} - 1 needs about" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [["rates", "--points"], ["mi", "--count"], ["greedy", "--t", "1", "--n"],
+         ["verify", "hamming", "--m"]],
+        ids=["points", "count", "n", "m"],
+    )
+    def test_an_int_option_past_the_int_digit_limit_is_one_line(
+        self, runner, default_int_digits, args
+    ):
+        """An option value that Python refuses to read for its length names
+        the limit in one line and does not echo its digits."""
+        result = runner.invoke(main, [*args, "9" * 5001])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert len(result.stderr_bytes) < 200
+        assert f"--{args[-1][2:]} passes Python's limit of 4300 digits" in result.stderr
+
+    def test_a_non_numeric_int_option_keeps_the_usage_error(self, runner):
+        result = runner.invoke(main, ["rates", "--points", "x"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--points': 'x' is not a valid integer." in result.stderr
+
     @pytest.mark.parametrize("n, t", [(0, 0), (-1, 0), (3, 5), (3, -1)])
     def test_bad_greedy_parameters_exit_two(self, runner, n, t):
         result = runner.invoke(main, ["greedy", "--n", str(n), "--t", str(t)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
+
+
+# One table in a fresh interpreter, which prints its peak RSS in kB (VmHWM)
+# to stderr; with no arguments it only imports the CLI.
+_PEAK = """
+import os, sys
+from twep.cli import main
+if sys.argv[1:]:
+    sys.stdout = open(os.devnull, "w")
+    main(sys.argv[1:], standalone_mode=False)
+print(next(line.split()[1] for line in open("/proc/self/status") if "VmHWM" in line),
+      file=sys.stderr)
+"""
+
+
+def _cli_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(Path(twep.__file__).parents[1]))
+
+
+def _peak_bytes(*args: str) -> int:
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK, *args], env=_cli_env(), capture_output=True, check=True
+    )
+    return int(out.stderr) * 1024
+
+
+class _Admitted(Exception):
+    """Ends a table command once its gate has admitted it."""
+
+
+def _record_gates(monkeypatch, stop: bool = False) -> list[int]:
+    """The estimates the CLI passes to ``check_budget`` from now on; with
+    stop, a command ends at its first admitted estimate, before any row."""
+    estimates = []
+
+    def gate(estimate, what, *sizes):
+        estimates.append(check_budget(estimate, what, *sizes))
+        if stop:
+            raise _Admitted
+        return estimate
+
+    monkeypatch.setattr(cli, "check_budget", gate)
+    return estimates
+
+
+class TestStreamingTables:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_the_largest_tables_of_the_old_gate_hold_no_table(self):
+        """A table writes each row as it computes it: the peak RSS of the
+        largest rates and bounds tables the old, memory-fitted gate admitted
+        stays within 5 MB of an interpreter that has imported the CLI."""
+        baseline = _peak_bytes()
+        for args in (["rates", "--points", "95325"], ["bounds", "--n", "1..35246", "--t", "0..1"]):
+            assert _peak_bytes(*args) - baseline <= 5 << 20, args
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(["rates", "--points", str(points)] for points in (2, 3, 51, 1000)),
+            *(["mi", "--count", str(count)] for count in (1, 2, 40, 2200)),
+            *(
+                ["bounds", "--n", n, "--t", t]
+                for n, t in [
+                    ("0..3", "0..3"),  # null gv_k cells on tiny n
+                    ("98..99", "97..99"),  # thm2_k = -n - 2 has one digit more than n
+                    ("1..12", "0..12"),
+                    ("1..300", "0..1"),
+                    (f"{10**3000}..{10**3000 + 3}", "0..2"),
+                ]
+            ),
+        ],
+        ids=lambda args: "-".join([args[0], *args[2::2]])[:40],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_gate_bounds_the_text_written(self, runner, monkeypatch, args, fmt):
+        """In either format a table writes no more than the estimate it
+        passes to its gate; mi runs with the int digit limit below its
+        longest terms."""
+        estimates = _record_gates(monkeypatch)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640 if args[0] == "mi" else limit)
+        try:
+            result = runner.invoke(main, [*args, "--format", fmt])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0
+        assert len(estimates) == 1
+        assert len(result.stdout_bytes) <= estimates[0]
+
+    @pytest.mark.parametrize(
+        "command, admitted, refused",
+        [
+            (["rates", "--points"], ["95325", "828504"], "828505"),
+            (["mi", "--count"], ["15446", "29835"], "29836"),
+            (["bounds", "--t", "0..1", "--n"], ["1..35246", "1..453437"], "1..453438"),
+        ],
+        ids=["rates", "mi", "bounds"],
+    )
+    def test_the_gates_admit_what_the_memory_fitted_gates_admitted(
+        self, runner, monkeypatch, command, admitted, refused
+    ):
+        """The gates alone, the tables stopped once admitted: the largest
+        tables of the old gates (95,325 rate points, 15,446 mi terms, bounds
+        on n = 1..35,246 at t = 0..1) are admitted, and so is the table just
+        below each new first refusal."""
+        _record_gates(monkeypatch, stop=True)
+        for size in admitted:
+            result = runner.invoke(main, [*command, size])
+            assert isinstance(result.exception, _Admitted), size
+        assert runner.invoke(main, [*command, refused]).exit_code == 2
+
+    def test_a_reader_that_stops_early_is_no_failure(self):
+        """``twep rates ... | head -c 100``: the write to the closed pipe ends
+        the table with exit 0 and nothing on stderr."""
+        table = subprocess.Popen(
+            [sys.executable, "-m", "twep.cli", "rates", "--points", "95325"],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(table.stdout.read(100)) == 100
+        table.stdout.close()
+        assert table.wait(timeout=60) == 0
+        assert table.stderr.read() == b""
 
 
 _RANGES = st.one_of(

@@ -127,6 +127,12 @@ class TestSimulateValidation:
         with pytest.raises(UnsoundFinish):
             simulate(scripted(2, 3, 1, [Finish()]), PauliVec.identity(2, 3))
 
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 3)], ids=["d-only", "n-only"])
+    def test_hidden_error_of_other_dimensions_is_refused(self, d, n):
+        """A mismatch on d alone, or on n alone, is refused up front."""
+        with pytest.raises(ValueError, match="does not match the strategy dimensions"):
+            simulate(scripted(2, 2, 0, [Finish()]), PauliVec.identity(d, n))
+
     def test_nontermination_guard(self):
         def forever(history: History):
             return Discard(frozenset({0}))

@@ -79,6 +79,13 @@ class TestHammingFamily:
         assert time.perf_counter() - start < 1.0
         assert str(family.value) == str(refused.value)
 
+    def test_refuses_a_pair_count_past_the_budget_before_computing_it(self):
+        """At m = 10^12, 2^m - 1 alone would need about 116 GB."""
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=f"the pair count 2\\^{10**12} - 1 needs"):
+            hamming_family(10**12)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("m", [3, 4])
     def test_at_most_m_plus_one_measurements_before_discard(self, m):
         strategy = hamming_family(m)

@@ -10,6 +10,7 @@ import pytest
 from prop_checks import code_corrects, random_stabilizer
 
 from twep.pauli import (
+    DimensionMismatchError,
     PauliVec,
     multiply,
     parse,
@@ -18,6 +19,7 @@ from twep.pauli import (
     weight,
 )
 from twep.stabilizer import (
+    ENUMERATION_MAX_N,
     SizeLimitError,
     StabilizerSet,
     complete_discard,
@@ -58,6 +60,24 @@ class TestRank:
 
     def test_empty(self):
         assert rank([]) == 0
+
+    def test_single_generator(self):
+        assert rank([parse("XZ", 2)]) == 1
+
+    @pytest.mark.parametrize("other", [parse("X,I", 3), parse("XII", 2)], ids=["d", "n"])
+    def test_generators_on_other_dimensions_are_refused(self, other):
+        """A mismatch on d alone, or on n alone, is refused."""
+        with pytest.raises(DimensionMismatchError, match="disagree on d or n"):
+            rank([parse("XI", 2), other])
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("other", [parse("X,I", 3), parse("XII", 2)], ids=["d", "n"])
+    def test_operator_on_other_dimensions_is_refused(self, other):
+        """A mismatch on d alone, or on n alone, is refused."""
+        s = StabilizerSet(2, 2, [parse("ZZ", 2)])
+        with pytest.raises(DimensionMismatchError, match="vs stabilizer d=2,n=2"):
+            s.residue(other)
 
 
 class TestMembership:
@@ -279,6 +299,13 @@ class TestMinNormalizerWeight:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             min_normalizer_weight(StabilizerSet(2, 13))
+
+    def test_admits_the_largest_n(self):
+        """n = ENUMERATION_MAX_N is scanned: Z on each of 11 of 12 registers
+        leaves Z on the last one, of weight 1, outside the group."""
+        n = ENUMERATION_MAX_N
+        gens = [parse("I" * i + "Z" + "I" * (n - 1 - i), 2) for i in range(n - 1)]
+        assert min_normalizer_weight(StabilizerSet(2, n, gens)) == 1
 
     @pytest.mark.parametrize("d, max_n", [(2, 6), (3, 4)])
     def test_random_stabilizers_at_every_rank(self, d, max_n):

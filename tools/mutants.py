@@ -252,6 +252,55 @@ MUTANTS = (
         ("tests/test_errorspace.py",),
     ),
     Mutant(
+        "simulate-checks-d-and-n-together",
+        ENGINE,
+        "if hidden.d != strategy.d or hidden.n != strategy.n:",
+        "if hidden.d != strategy.d and hidden.n != strategy.n:",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "stabilizer-checks-d-and-n-together",
+        STABILIZER,
+        "if p.d != self.d or p.n != self.n:",
+        "if p.d != self.d and p.n != self.n:",
+        ("tests/test_stabilizer.py",),
+    ),
+    Mutant(
+        "rank-checks-d-and-n-together",
+        STABILIZER,
+        "if g.d != d or g.n != n:",
+        "if g.d != d and g.n != n:",
+        ("tests/test_stabilizer.py",),
+    ),
+    Mutant(
+        "rank-reads-the-second-generator",
+        STABILIZER,
+        "d, n = gens[0].d, gens[0].n",
+        "d, n = gens[1].d, gens[1].n",
+        ("tests/test_stabilizer.py",),
+    ),
+    Mutant(
+        "normalizer-scan-refuses-the-largest-n",
+        STABILIZER,
+        "if s.n > ENUMERATION_MAX_N:",
+        "if s.n >= ENUMERATION_MAX_N:",
+        ("tests/test_stabilizer.py",),
+    ),
+    Mutant(
+        "table-gate-drops-the-value-widths",
+        CLI,
+        " + len(fields(cls)) * (width - 2))",
+        ")",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "emit-drops-the-broken-pipe-guard",
+        CLI,
+        "    except BrokenPipeError:\n",
+        "    except ():\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "layer-changes-compare-the-means",
         "tools/bench_pair.py",
         '"median": statistics.median(values)',
