@@ -68,13 +68,15 @@ class ErrorSet:
 def error_counts(n: int, top: int, d: int = 2) -> list[int]:
     """Entry t is the number of phaseless errors of weight at most t on n
     registers, including the identity, for t = 0..top: the partial sums of
-    (d^2-1)^j * C(n, j), each term computed from the one before."""
+    (d^2-1)^j * C(n, j), each term computed from the one before, and none
+    past the last."""
     per_site = d * d - 1
     counts, term, total = [], 1, 0
     for j in range(top + 1):
         total += term
         counts.append(total)
-        term = term * per_site * (n - j) // (j + 1)
+        if j < top:
+            term = term * per_site * (n - j) // (j + 1)
     return counts
 
 

@@ -32,7 +32,7 @@ packed tableau.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 
 from ._kernels import _add3
@@ -194,8 +194,9 @@ def _check_compatible(p: PauliVec, q: PauliVec) -> None:
         )
 
 
+@cache
 def _x_columns(n: int) -> int:
-    """The mask of the x columns 0, 2, .., 2n - 2."""
+    """The mask of the x columns 0, 2, .., 2n - 2, computed once per n."""
     return (1 << 2 * n) // 3
 
 

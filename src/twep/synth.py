@@ -20,17 +20,24 @@ independent of the rows before them, which leaves its winner unchanged:
 instead of 2^D for D complement vectors, so deep nodes with few survivors
 are cheap.  The scan reads only the normalizer complement's rows, kept
 once per stabilizer, which sibling nodes share, so a node pays only for
-its own survivors.  Only the root's complement is solved from scratch
-(``stabilizer._complement_rows``): a child's is derived from its parent's
+its own survivors.  No complement is solved from scratch: the root's is
+the 2n unit rows, and a child's is derived from its parent's
 (``stabilizer._extended_basis``) in O(D) integer operations for a
 complement of D vectors, already in the key form the scan takes.  The
 scan's counts are kept per Measure node; they are the step statistics'
 splits.
+
+The root (t >= 1) needs no scan (``_root_split``).  Its survivors are every
+error of weight <= t, a set that register permutations and local
+relabellings of X, Y and Z keep, so an operator's split there depends only
+on its weight w, and is counted in closed form; the scan's winner is then
+the least key of the best weight, X on sites 0..w - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import _kernels, stabilizer
 from .bounds import thm2_k
@@ -45,7 +52,7 @@ from .engine import (
     _walk,
 )
 from .errorspace import ErrorSet, base_errors, count_errors
-from .pauli import PauliVec, _from_planes, symplectic_product
+from .pauli import PauliVec, _from_planes, _x_columns, symplectic_product
 from .stabilizer import SizeLimitError, StabilizerSet, _extended_basis
 
 # Unused here; perfbench's tracer wraps each of these as ``synth.<name>``.
@@ -107,7 +114,8 @@ def _best_splitter(
     complement rows in key form by generator tuple and gains an entry for
     ``s`` if it has none: derived from its parent's entry
     (``_extended_basis``), whose splitter chose ``s``'s last generator, or
-    else read off ``stabilizer._complement_rows``."""
+    else, as for ``choose_generator``'s stabilizer, read off
+    ``stabilizer._complement_rows``."""
     residues = map(s._rows.reduce, rows)
     first = next(residues, None)
     if len(rows) < 2 or all(r == first for r in residues):
@@ -128,6 +136,34 @@ def _best_splitter(
     return _from_planes(2, s.n, row, 0), commuting
 
 
+def _anticommuting(n: int, t: int, w: int) -> int:
+    """How many errors of weight <= t on n qubits anticommute with X on w
+    sites: those with Y or Z on an odd number j of the w sites, X on a of
+    the rest of them and any of the three on b of the other n - w."""
+    return sum(
+        comb(w, j) * 2**j * comb(w - j, a) * comb(n - w, b) * 3**b
+        for j in range(1, min(t, w) + 1, 2)
+        for a in range(t - j + 1)
+        for b in range(t - j - a + 1)
+    )
+
+
+def _root_split(n: int, t: int) -> tuple[PauliVec, int]:
+    """``_best_splitter``'s answer at synthesis's root, the empty stabilizer
+    with every error of weight <= t (t >= 1) surviving, and how many of the
+    errors commute with it: X on sites 0..w - 1 for the least w whose
+    larger side is smallest, the least key among the operators of that
+    weight, as the scan picks."""
+    total = count_errors(n, t, 2)
+    least = total + 1
+    for w in range(1, n + 1):
+        anti = _anticommuting(n, t, w)
+        side = max(anti, total - anti)
+        if side < least:
+            least, best, commuting = side, w, total - anti
+    return _from_planes(2, n, _x_columns(best), 0), commuting
+
+
 def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     """The greedy strategy, its decision tree (history entries to step),
     each Measure node's split (history entries to the enumeration index of
@@ -138,9 +174,11 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     separator finishes, any other measures ``choose_generator``'s operator.
     The walk reaches exactly the histories the strategy is ever consulted
     on, and its report is ``verify(strategy)``, because the chooser answers
-    each node as the finished strategy does.  A node passes the kernel its
-    survivors' rows, and the complement rows are kept once per stabilizer,
-    which sibling nodes share; a child's are derived from its parent's."""
+    each node as the finished strategy does.  The root, for t >= 1, is
+    answered by ``_root_split``; any other node passes the kernel its
+    survivors' rows.  The complement rows are kept once per stabilizer,
+    which sibling nodes share: the root's are the unit rows, and a child's
+    are derived from its parent's."""
     if n < 1 or not 0 <= t <= n:
         raise ValueError(
             f"greedy synthesis needs n >= 1 and 0 <= t <= n, got n={n}, t={t}"
@@ -148,14 +186,17 @@ def _synthesize(n: int, t: int) -> tuple[Strategy, dict, dict, Report]:
     if n > SCAN_MAX_N:
         raise SizeLimitError(f"greedy synthesis needs n <= {SCAN_MAX_N}, got {n}")
     rows = [e.one for e in base_errors(2, n, t).members]
-    bases: dict[tuple, list[int]] = {}
+    bases: dict[tuple, list[int]] = {(): [1 << c for c in range(2 * n)]}
     tree: dict[tuple, Step] = {}
     splits: dict[tuple, tuple[int, int, int, int]] = {}
 
     def choose(history: History, s: StabilizerSet, reached: tuple[int, ...]) -> Step:
         entries = history.entries
         try:
-            op, commuting = _best_splitter(s, [rows[i] for i in reached], bases)
+            if not entries and t >= 1:
+                op, commuting = _root_split(n, t)
+            else:
+                op, commuting = _best_splitter(s, [rows[i] for i in reached], bases)
         except NoSeparatorError:
             step = Finish()
         else:

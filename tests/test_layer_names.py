@@ -62,11 +62,14 @@ def test_a_traced_run_reaches_every_kernel():
         assert summary.get(f"{name}.calls", 0) > 0, name
     # The counters read the kernels' arguments by position: the complement
     # (2(n - rank) rows), the errors and the span.  Each greedy Measure
-    # node is one splitter call on its survivors.
+    # node but the root, which is split in closed form, is one splitter
+    # call on its survivors.
     splits = synth._synthesize(6, 1)[2]
-    assert summary["kernels.best_splitter.calls"] == len(splits) == 11
+    below_root = {entries: split for entries, split in splits.items() if entries}
+    assert len(splits) - 1 == len(below_root)
+    assert summary["kernels.best_splitter.calls"] == len(below_root) == 10
     assert summary["kernels.best_splitter.pair_checks"] == sum(
         ((1 << 2 * (6 - len(entries))) - 1) * total
-        for entries, (_, _, _, total) in splits.items()
-    ) == 102_780
+        for entries, (_, _, _, total) in below_root.items()
+    ) == 102_780 - 4_095 * 19 == 24_975
     assert summary["kernels.min_weight_excluding_span.operators"] == 48

@@ -79,6 +79,15 @@ class TestHammingFamily:
         assert time.perf_counter() - start < 1.0
         assert str(family.value) == str(refused.value)
 
+    def test_refuses_ten_million_in_under_a_second(self):
+        """Below the pair-count gate the walk's estimate refuses: counting
+        the errors computes no term past the last it returns, which at t = 1
+        would be a product of two numbers of m bits."""
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="enumeration of at least 2\\^"):
+            hamming_family(10**7)
+        assert time.perf_counter() - start < 1.0
+
     def test_refuses_a_pair_count_past_the_budget_before_computing_it(self):
         """At m = 10^12, 2^m - 1 alone would need about 116 GB."""
         start = time.perf_counter()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from prop_checks import average_separated_pairs, random_stabilizer, tree_text
 
+from twep import synth
 from twep.bounds import mi_sequence
 from twep.engine import Finish, Measure, simulate
 from twep.errorspace import (
@@ -26,10 +27,13 @@ from twep.pauli import (
     parse,
     render,
     symplectic_product,
+    weight,
 )
 from twep.stabilizer import SizeLimitError, StabilizerSet
 from twep.synth import (
     NoSeparatorError,
+    _anticommuting,
+    _root_split,
     choose_generator,
     greedy_step_stats,
     greedy_strategy,
@@ -233,6 +237,51 @@ class TestGreedyStrategy:
                 survivors = filtered
             residual = set(survivors.members)
             assert hidden in residual
+
+
+def _x_on_first(n: int, w: int) -> PauliVec:
+    return PauliVec(2, n, (1,) * w + (0,) * (n - w), (0,) * n)
+
+
+class TestRootSplit:
+    """Synthesis's root, split in closed form, against counts over the
+    enumeration and against the kernel."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_anticommuting_count_matches_the_enumeration(self, n):
+        everything = enumerate_errors(n, n, 2).members
+        weights = [weight(e) for e in everything]
+        for w in range(n + 1):
+            op = _x_on_first(n, w)
+            anti = [symplectic_product(op, e) for e in everything]
+            for t in range(n + 1):
+                count = sum(a for a, ew in zip(anti, weights) if ew <= t)
+                assert _anticommuting(n, t, w) == count, (t, w)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_root_split_is_the_public_choice(self, n):
+        empty = StabilizerSet(2, n, [])
+        for t in range(1, n + 1):
+            errors = enumerate_errors(n, t, 2)
+            op = choose_generator(empty, errors)
+            assert _root_split(n, t) == (op, split_counts(op, errors).commuting), t
+
+    def test_a_root_past_the_scan_limit_builds_the_kernels_tree(self, monkeypatch):
+        """(11, 1) with the limit raised to 11: tree, splits and report
+        equal those of a build whose root goes through the kernel."""
+        monkeypatch.setattr(synth, "SCAN_MAX_N", 11)
+        closed = _synthesize(11, 1)[1:]
+
+        def kernel_root(n, t):
+            rows = [e.one for e in base_errors(2, n, t).members]
+            return synth._best_splitter(StabilizerSet(2, n, []), rows, {})
+
+        monkeypatch.setattr(synth, "_root_split", kernel_root)
+        tree, splits, report = _synthesize(11, 1)[1:]
+        assert closed[0] == tree
+        assert closed[1] == splits
+        assert closed[2].to_text() == report.to_text()
+        assert len(splits) > 1
 
 
 class TestAveragingArgument:

@@ -54,6 +54,7 @@ STABILIZER = "src/twep/stabilizer.py"
 ENGINE = "src/twep/engine.py"
 CLI = "src/twep/cli.py"
 ERRORSPACE = "src/twep/errorspace.py"
+SYNTH = "src/twep/synth.py"
 DISTANCE_TESTS = ("tests/test_reducer.py", "tests/test_stabilizer.py")
 SPLITTER_TESTS = ("tests/test_splitter.py",)
 
@@ -165,7 +166,7 @@ MUTANTS = (
     ),
     Mutant(
         "balance-admits-the-boundary",
-        "src/twep/synth.py",
+        SYNTH,
         "excess * excess < total",
         "excess * excess <= total",
         ("tests/test_cli.py",),
@@ -203,7 +204,7 @@ MUTANTS = (
     ),
     Mutant(
         "greedy-finishes-at-two-survivors",
-        "src/twep/synth.py",
+        SYNTH,
         "if len(rows) < 2 or",
         "if len(rows) < 3 or",
         ("tests/test_synth.py",),
@@ -299,6 +300,41 @@ MUTANTS = (
         "    except BrokenPipeError:\n",
         "    except ():\n",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "root-split-takes-the-largest-best-weight",
+        SYNTH,
+        "        if side < least:\n",
+        "        if side <= least:\n",
+        ("tests/test_synth.py",),
+    ),
+    Mutant(
+        "root-split-counts-every-j",
+        SYNTH,
+        "for j in range(1, min(t, w) + 1, 2)",
+        "for j in range(min(t, w) + 1)",
+        ("tests/test_synth.py",),
+    ),
+    Mutant(
+        "root-split-answers-t-0",
+        SYNTH,
+        "if not entries and t >= 1:",
+        "if not entries:",
+        ("tests/test_synth.py",),
+    ),
+    Mutant(
+        "root-basis-drops-its-last-unit-row",
+        SYNTH,
+        "[1 << c for c in range(2 * n)]",
+        "[1 << c for c in range(2 * n - 1)]",
+        SPLITTER_TESTS,
+    ),
+    Mutant(
+        "error-counts-computes-a-term-past-the-last",
+        ERRORSPACE,
+        "        if j < top:\n            term = term * per_site * (n - j) // (j + 1)\n",
+        "        term = term * per_site * (n - j) // (j + 1)\n",
+        ("tests/test_protocols.py",),
     ),
     Mutant(
         "layer-changes-compare-the-means",
