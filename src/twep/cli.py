@@ -292,6 +292,11 @@ def rates(points: int, fmt: str, output: str | None):
         _emit(_json_rows(table, bounds_mod.RatePoint), output)
 
 
+# The most work mi takes on: its largest admitted count, 12164, runs in
+# about 2 s on a 2-vCPU machine with Python 3.11.
+MI_MAX_WORK = 6 * 10**11
+
+
 @main.command()
 @click.option("--count", type=_INT, required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -305,6 +310,14 @@ def mi(count: int, fmt: str, output: str | None):
     # most count + floor(C(count, 2) log10 2).
     digits = count + count * (count - 1) // 2 * 30103 // 100000
     check_budget(5 + count * (len(str(count)) + 2) + digits, "mi over {} terms", count)
+    # The time: m_i has about i bits, and its square root and its decimal
+    # text each cost about i^2 bit operations, which sum to the work below.
+    work = (count - 1) * count * (2 * count - 1) // 6
+    if work > MI_MAX_WORK:
+        raise SizeLimitError(
+            f"mi over {count} terms needs about {work:,} bit operations;"
+            f" the limit is {MI_MAX_WORK:,}"
+        )
     terms = bounds_mod.mi_terms(count)
     if fmt == "csv":
         chunks = _csv("i,mi", enumerate(terms))

@@ -197,10 +197,12 @@ class Report:
         """``json.dumps(self.to_dict(), indent=2)`` plus a newline, byte for
         byte, written directly: Python's indenting encoder is pure Python
         and would re-render a shared transcript for every counterexample.
-        Strings go through the C escaper ``json.dumps`` uses, and a memo
-        keyed by object identity renders each distinct operator and each
-        distinct transcript block once per call."""
+        Strings go through the C escaper ``json.dumps`` uses, and memos
+        keyed by object identity format each distinct operator, each
+        distinct (operator, outcome) record and each distinct transcript
+        block once per call: sibling leaves share most of their records."""
         ops: dict[int, str] = {}
+        entries: dict[tuple[int, int], str] = {}
         blocks: dict[int, str] = {}
 
         def op_text(op: PauliVec) -> str:
@@ -209,15 +211,23 @@ class Report:
                 text = ops[id(op)] = _quote(render(op))
             return text
 
+        def entry_text(op: PauliVec, outcome: int) -> str:
+            key = id(op), outcome
+            text = entries.get(key)
+            if text is None:
+                text = entries[key] = (
+                    f'{{\n          "op": {op_text(op)},\n'
+                    f'          "outcome": {outcome}\n        }}'
+                )
+            return text
+
         def block(transcript: Optional[Transcript]) -> str:
             if transcript is None:
                 return "null"
             text = blocks.get(id(transcript))
             if text is None:
                 records = [
-                    f'{{\n          "op": {op_text(op)},\n'
-                    f'          "outcome": {outcome}\n        }}'
-                    for op, outcome in transcript.history.entries
+                    entry_text(op, outcome) for op, outcome in transcript.history.entries
                 ]
                 records.append(
                     f'{{\n          "correction": {op_text(transcript.correction)},\n'

@@ -32,13 +32,14 @@ packed tableau.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import cache, cached_property
+from functools import cache
 from operator import attrgetter
 
 from ._kernels import _add3
 
 SUPPORTED_DIMENSIONS = (2, 3)
-_DIGITS = {d: frozenset(range(d)) for d in SUPPORTED_DIMENSIONS}
+# bytes.translate deletion sets: the exponents of dimension d.
+_DIGITS = {d: bytes(range(d)) for d in SUPPORTED_DIMENSIONS}
 
 # bytes.translate tables: column values to the ASCII bits of one plane,
 # and ASCII bits back to bytes.
@@ -48,8 +49,10 @@ _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
 
 # Site letter <-> exponent pair, d=2.  Y acts on both components.
 _QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-# Site digit x + 2z -> letter, d=2.
-_QUBIT_RENDER = bytes.maketrans(b"\0\1\2\3", b"IXZY")
+# bytes.translate tables, d=2: table j maps a byte of the plane ``one``,
+# which holds four sites with the least in its low bits, to the letter of
+# its site j.
+_QUBIT_SITES = tuple(bytes(b"IXZY"[b >> 2 * j & 3] for b in range(256)) for j in range(4))
 
 # Site token <-> exponent pair, d=3.
 _QUTRIT_TOKENS = {
@@ -79,15 +82,33 @@ class PauliSyntaxError(ValueError):
         self.position = position
 
 
+class _Exponents:
+    """The tuple ``x`` or ``z`` of a PauliVec.  The first read of either
+    unpacks both from one pass over the planes into the instance dict, which
+    answers every later read: this is a non-data descriptor."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        values = _column_values(p)
+        found = p.__dict__
+        found.update(x=tuple(values[::2]), z=tuple(values[1::2]))
+        return found[self.name]
+
+
 class PauliVec:
     """A phaseless Pauli operator as a symplectic vector over Z_d, stored as
     its bit-planes ``one`` and ``two``.  Immutable."""
 
     # ``_hash`` is computed on first use and kept: strategies, relabellings
     # and the discard memo hash the same operators many times.  ``x`` and
-    # ``z`` are cached properties, so they live in the instance dict once
-    # read.  No __getattr__: it would stop the interpreter from
-    # specializing every attribute read of the class.
+    # ``z`` live in the instance dict: the constructor stores them, and an
+    # operator built from its planes unpacks both on the first read of
+    # either (``_Exponents``).  No __getattr__: it would stop the
+    # interpreter from specializing every attribute read of the class.
     __slots__ = ("d", "n", "one", "two", "_hash", "__dict__")
 
     def __init__(self, d: int, n: int, x: tuple[int, ...], z: tuple[int, ...]):
@@ -95,14 +116,22 @@ class PauliVec:
             raise ValueError(f"unsupported register dimension {d}")
         if len(x) != n or len(z) != n:
             raise ValueError("exponent vectors must have length n")
-        digits = _DIGITS[d]
-        if not (digits.issuperset(x) and digits.issuperset(z)):
+        columns = bytearray(2 * n)
+        try:
+            columns[::2] = x
+            columns[1::2] = z
+        except (TypeError, ValueError):
+            # Some exponent is no byte.  Refuse it as a test of the tuples
+            # against the set of digits does: that passes 1.0, which equals
+            # the digit 1 but is no int, so 1.0 keeps its TypeError.
+            digits = frozenset(range(d))
+            if not (digits.issuperset(x) and digits.issuperset(z)):
+                raise ValueError("exponents must lie in [0, d)") from None
+            raise
+        if columns.translate(None, _DIGITS[d]):
             raise ValueError("exponents must lie in [0, d)")
         # One binary literal per plane, column 0 last; b"\0" stands in for
         # no registers.
-        columns = bytearray(2 * n)
-        columns[::2] = x
-        columns[1::2] = z
         columns.reverse()
         columns = columns or b"\0"
         one = int(columns.translate(_PLANE_ONE), 2)
@@ -110,13 +139,8 @@ class PauliVec:
         _store(self, d, n, one, two)
         self.__dict__.update(x=x, z=z)
 
-    @cached_property
-    def x(self) -> tuple[int, ...]:
-        return tuple(_column_values(self)[::2])
-
-    @cached_property
-    def z(self) -> tuple[int, ...]:
-        return tuple(_column_values(self)[1::2])
+    x = _Exponents()
+    z = _Exponents()
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -294,13 +318,26 @@ def parse(text: str, d: int) -> PauliVec:
 
 
 def render(p: PauliVec) -> str:
-    """Render to canonical text; inverse of parse on valid input."""
+    """Render to canonical text; inverse of parse on valid input.
+
+    For d=2 each byte of the plane ``one`` holds four sites: one translation
+    per site position writes every fourth letter, and the text is cut to n,
+    which drops the padding sites of the last byte.  For d=3 each site's
+    digit x + 3z is read off the column values and becomes its token."""
+    n = p.n
+    if p.d == 2:
+        planes = p.one.to_bytes((n + 3) // 4, "little")
+        first, second, third, fourth = _QUBIT_SITES
+        text = bytearray(4 * len(planes))
+        text[0::4] = planes.translate(first)
+        text[1::4] = planes.translate(second)
+        text[2::4] = planes.translate(third)
+        text[3::4] = planes.translate(fourth)
+        return text[:n].decode()
     columns = _column_values(p)
-    # One byte per register, register 0 first: the site digit x + d*z.
+    # One byte per register, register 0 first: the site digit x + 3z.
     digits = (
         int.from_bytes(columns[::2], "little")
-        + p.d * int.from_bytes(columns[1::2], "little")
-    ).to_bytes(p.n, "little")
-    if p.d == 2:
-        return digits.translate(_QUBIT_RENDER).decode()
+        + 3 * int.from_bytes(columns[1::2], "little")
+    ).to_bytes(n, "little")
     return ",".join(map(_QUTRIT_RENDER.__getitem__, digits))

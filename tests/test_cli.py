@@ -411,6 +411,12 @@ class TestSizeGates:
             (["rates", "--points", str(10**12)], "the limit is 128 MB"),
             (["mi", "--count", "29836"], "mi over 29836 terms needs about 128 MB"),
             (["mi", "--count", str(10**12)], "the limit is 128 MB"),
+            (
+                ["mi", "--count", "12165"],
+                "mi over 12165 terms needs about 600,014,205,790 bit operations;"
+                " the limit is 600,000,000,000",
+            ),
+            (["mi", "--count", "29835"], "the limit is 600,000,000,000"),
             (["bounds", "--n", "1..453438", "--t", "0..1"], "bounds over 906876 rows"),
             (["bounds", "--n", f"1..{10**9}", "--t", f"0..{10**9}"], "500000001500000000 rows"),
             (["bounds", "--n", str(10**6), "--t", "0..20000"], "20001 rows needs about 1748 MB"),
@@ -420,8 +426,8 @@ class TestSizeGates:
             ),
         ],
         ids=[
-            "rates", "rates-far", "mi", "mi-far", "bounds", "bounds-far", "bounds-counts",
-            "bounds-wide-n",
+            "rates", "rates-far", "mi", "mi-far", "mi-time", "mi-time-far", "bounds",
+            "bounds-far", "bounds-counts", "bounds-wide-n",
         ],
     )
     def test_a_table_past_its_limit_exits_two_before_building(self, runner, args, message):

@@ -182,7 +182,7 @@ def test_construction_rejects_what_it_rejected_before(d, n, data):
     """Messages and types of the tuple-validating constructor."""
     site = data.draw(st.integers(0, n - 1))
     good = (0,) * n
-    for bad in (d, -1, d + 254):
+    for bad in (d, -1, d + 254, 1.5):
         vector = good[:site] + (bad,) + good[site + 1 :]
         for x, z in ((vector, good), (good, vector)):
             with pytest.raises(ValueError, match=r"^exponents must lie in \[0, d\)$"):
@@ -194,6 +194,55 @@ def test_construction_rejects_what_it_rejected_before(d, n, data):
         PauliVec(5, n, good, good)
     with pytest.raises(DimensionMismatchError):
         symplectic_product(PauliVec(d, n, good, good), PauliVec(5 - d, n, good, good))
+    # 1.0 equals the digit 1 but is no int, so it fails as a byte; True is
+    # the digit 1.
+    one = good[:site] + (1,) + good[site + 1 :]
+    as_float = good[:site] + (1.0,) + good[site + 1 :]
+    as_bool = good[:site] + (True,) + good[site + 1 :]
+    for x, z in ((as_float, good), (good, as_float)):
+        with pytest.raises(TypeError):
+            PauliVec(d, n, x, z)
+    assert PauliVec(d, n, as_bool, good) == PauliVec(d, n, one, good)
+    assert PauliVec(d, n, good, as_bool) == PauliVec(d, n, good, one)
+
+
+def _top_site_operators(rng: random.Random, d: int, n: int):
+    """(x, z) tuples on n sites: one random pair per value of the top site,
+    the identity and the operator with every exponent d - 1."""
+    for top in range(d * d):
+        x = [rng.randrange(d) for _ in range(n)]
+        z = [rng.randrange(d) for _ in range(n)]
+        x[-1], z[-1] = top % d, top // d
+        yield tuple(x), tuple(z)
+    yield (0,) * n, (0,) * n
+    yield (d - 1,) * n, (d - 1,) * n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_render_matches_the_per_site_oracle_at_every_width(d):
+    """Every n in 1..130, each value of the top site; the operator is built
+    from its planes, so render reads nothing the constructor kept."""
+    rng = random.Random(f"render-{d}")
+    for n in range(1, 131):
+        for x, z in _top_site_operators(rng, d, n):
+            p = PauliVec(d, n, x, z)
+            q = pauli._from_planes(d, n, p.one, p.two)
+            assert render(q) == prop_checks.render_reference(p)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("first", ["x", "z"])
+def test_exponents_unpacked_from_the_planes_in_either_order(d, first):
+    """The tuples of an operator built from its planes, whichever is read
+    first, are the ones it was built from."""
+    rng = random.Random(f"exponents-{d}-{first}")
+    for n in (1, 2, 3, 31, 32, 33, 64, 65, 127, 130):
+        for x, z in _top_site_operators(rng, d, n):
+            p = PauliVec(d, n, x, z)
+            q = pauli._from_planes(d, n, p.one, p.two)
+            assert getattr(q, first) == {"x": x, "z": z}[first]
+            assert (q.x, q.z) == (x, z)
+            assert type(q.x) is type(q.z) is tuple
 
 
 def _raised(fn, *args):

@@ -102,14 +102,21 @@ def test_registry_protocols_and_twins_under_relabelling(name, seed):
     "strategy",
     [
         hamming_family(6),
+        hamming_family(7),
         greedy_strategy(5, 1),
         greedy_strategy(7, 1),
         greedy_strategy(6, 2),
     ],
-    ids=["hamming-m6", "greedy-5-1", "greedy-7-1", "greedy-6-2"],
+    ids=["hamming-m6", "hamming-m7", "greedy-5-1", "greedy-7-1", "greedy-6-2"],
 )
 def test_families_and_greedy(strategy):
-    assert assert_walk_matches_oracle(strategy).passed
+    """The strategy passes, and its twin claiming one pair more than it
+    certifies fails at every leaf that certifies the least: sibling leaves
+    share most of their transcript records, with different outcomes."""
+    report = assert_walk_matches_oracle(strategy)
+    assert report.passed
+    twin = dataclasses.replace(strategy, k_claimed=report.k_min + 1)
+    assert not assert_walk_matches_oracle(twin).passed
 
 
 def _forever(history: History):

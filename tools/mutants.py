@@ -55,6 +55,7 @@ ENGINE = "src/twep/engine.py"
 CLI = "src/twep/cli.py"
 ERRORSPACE = "src/twep/errorspace.py"
 SYNTH = "src/twep/synth.py"
+PAULI = "src/twep/pauli.py"
 DISTANCE_TESTS = ("tests/test_reducer.py", "tests/test_stabilizer.py")
 SPLITTER_TESTS = ("tests/test_splitter.py",)
 
@@ -335,6 +336,34 @@ MUTANTS = (
         "        if j < top:\n            term = term * per_site * (n - j) // (j + 1)\n",
         "        term = term * per_site * (n - j) // (j + 1)\n",
         ("tests/test_protocols.py",),
+    ),
+    Mutant(
+        "qubit-render-keeps-the-padding-sites",
+        PAULI,
+        "        return text[:n].decode()\n",
+        "        return text.decode()\n",
+        ("tests/test_packed.py",),
+    ),
+    Mutant(
+        "exponents-store-the-x-tuple-as-z",
+        PAULI,
+        "z=tuple(values[1::2])",
+        "z=tuple(values[::2])",
+        ("tests/test_packed.py",),
+    ),
+    Mutant(
+        "constructor-validates-x-only",
+        PAULI,
+        "        if columns.translate(None, _DIGITS[d]):\n",
+        "        if columns[::2].translate(None, _DIGITS[d]):\n",
+        ("tests/test_packed.py",),
+    ),
+    Mutant(
+        "report-records-keyed-without-the-outcome",
+        ENGINE,
+        "            key = id(op), outcome\n",
+        "            key = id(op)\n",
+        ("tests/test_walk.py",),
     ),
     Mutant(
         "layer-changes-compare-the-means",
